@@ -6,7 +6,7 @@ from .cgo import (PhaseParams, dz, dz_inv, dzbar, dzbar_inv, hs_norm, phase_mul,
                   s1_apply, solve_w, t_w_lambda)
 from .dtn import (BoundaryMesh, DtnMatrix, dtn_matrix, dtn_matrix_cached,
                   dtn_opnorm_diff, load_dtn, save_dtn, solve_dirichlet)
-from .errors import (AmplificationExceeded, CgoplaneError, ConfigError,
+from .errors import (AmplificationExceeded, BlobFormatError, CgoplaneError, ConfigError,
                      CutoffExceedsNyquist, DomainError, MeshMismatch, NearSingular,
                      NonConvergence, PerturbationTooLarge, ResolutionExceeded,
                      SupportViolation)

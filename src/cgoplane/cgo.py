@@ -51,10 +51,15 @@ class PhaseParams:
         object.__setattr__(self, "x", (float(self.x[0]), float(self.x[1])))
 
 
+def psi_at(z1, z2, x) -> np.ndarray:
+    """psi_x at the points (z1, z2) (complex)."""
+    zeta = (z1 - x[0]) + 1j * (z2 - x[1])
+    return 0.5 * zeta * zeta
+
+
 def psi_values(grid: FourierGrid, x) -> np.ndarray:
     """psi_x on the nodes (complex)."""
-    zeta = (grid.Z1 - x[0]) + 1j * (grid.Z2 - x[1])
-    return 0.5 * zeta * zeta
+    return psi_at(grid.Z1, grid.Z2, x)
 
 
 def phi_values(grid: FourierGrid, x) -> np.ndarray:
@@ -150,6 +155,18 @@ def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> Com
     return ComplexField(outer.grid, 0.25 * outer.values)
 
 
+def s1_adjoint(F: ComplexField, p: PhaseParams) -> ComplexField:
+    """Adjoint of s1_apply in the grid L^2 pairing.
+
+    Equals (1/4) e^{-i lam phi} dzbar_inv[e^{+i lam phi} dz_inv[F]]: on the
+    lattice conj(1/sigma_z) = -1/sigma_zbar, so the adjoint of each inverse is
+    minus the other one and the two signs cancel.
+    """
+    inner = phase_mul(dz_inv(F, check_support=False), p, +1)
+    outer = phase_mul(dzbar_inv(inner, check_support=False), p, -1)
+    return ComplexField(outer.grid, 0.25 * outer.values)
+
+
 def solve_w(
     V: ComplexField,
     p: PhaseParams,
@@ -199,6 +216,14 @@ def t_w_lambda(F: ComplexField, w: ComplexField, p: PhaseParams) -> complex:
     return complex(p.lam / np.pi * total)
 
 
+def homogeneous_weight(grid: FourierGrid, s: float) -> np.ndarray:
+    """Fourier weight |xi|^s on the grid, defined as 0 at xi = 0 for all s."""
+    with np.errstate(divide="ignore"):
+        w = grid.xi_sq ** (s / 2.0)
+    w[0, 0] = 0.0
+    return w
+
+
 def hs_norm(F: ComplexField, s: float) -> float:
     """Discrete homogeneous Sobolev norm || |xi|^s F^hat ||_{L^2}.
 
@@ -210,12 +235,5 @@ def hs_norm(F: ComplexField, s: float) -> float:
         raise ValueError("hs_norm supports only |s| < 1")
     g = F.grid
     fhat = fft2(F.values)
-    if s == 0:
-        weights = np.ones_like(g.xi_sq)
-        weights[0, 0] = 0.0
-    else:
-        with np.errstate(divide="ignore"):
-            weights = g.xi_sq ** s
-        weights[0, 0] = 0.0
-    total = np.sum(weights * np.abs(fhat) ** 2)
+    total = np.sum(homogeneous_weight(g, 2 * s) * np.abs(fhat) ** 2)
     return float(g.h / g.n_per_side * np.sqrt(total))

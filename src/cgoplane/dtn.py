@@ -18,7 +18,6 @@ uses the diagonal weights (1 + n^2)^{1/4} in the boundary Fourier basis.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import MeshMismatch, NearSingular
 from .grid import ComplexField
-from .utils import bilinear_sample
+from .utils import bilinear_sample, read_blob, write_blob
 
 _COND_LIMIT = 1e12
 
@@ -207,18 +206,6 @@ class PolarSolution:
         center = np.full((1, m), self.full[-1])
         return np.vstack([center, rings])
 
-    def boundary_values(self):
-        return self.full[self.op.boundary_idx]
-
-    def interior_integral(self, other_full=None, weight=None) -> complex:
-        """int u * v (* weight) over the disk with the nodal quadrature."""
-        v = self.full if other_full is None else other_full
-        w = self.op.node_weight
-        integrand = self.full * v
-        if weight is not None:
-            integrand = integrand * weight
-        return complex(np.sum(integrand * w))
-
     def h1_norm(self) -> float:
         """Discrete H^1 norm via the Dirichlet energy plus the L^2 mass."""
         op = self.op
@@ -343,27 +330,12 @@ def save_dtn(path, dtn: DtnMatrix):
                  "n_nodes": dtn.mesh.n_nodes},
         "potential_tag": dtn.potential_tag,
         "grid_params": dtn.grid_params,
-        "shape": list(dtn.entries.shape),
-        "dtype": "complex128",
     }
-    head = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(head).to_bytes(8, "little"))
-        fh.write(head)
-        fh.write(np.ascontiguousarray(dtn.entries).tobytes())
+    write_blob(path, _MAGIC, header, dtn.entries)
 
 
 def load_dtn(path) -> DtnMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise ValueError("not a DtN cache blob")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode())
-        raw = fh.read()
-    shape = tuple(header["shape"])
-    entries = np.frombuffer(raw, dtype=np.complex128).reshape(shape).copy()
+    header, entries = read_blob(path, _MAGIC)
     mesh = BoundaryMesh(center=tuple(header["mesh"]["center"]),
                         radius=header["mesh"]["radius"],
                         n_nodes=header["mesh"]["n_nodes"])

@@ -56,3 +56,7 @@ class DomainError(CgoplaneError, ValueError):
 
 class ConfigError(CgoplaneError, ValueError):
     """Invalid or inconsistent experiment configuration."""
+
+
+class BlobFormatError(CgoplaneError, ValueError):
+    """A binary blob file is not in the expected format (magic, header or size)."""

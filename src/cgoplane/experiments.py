@@ -17,20 +17,22 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import reference
-from .cgo import PhaseParams, hs_norm, phase_mul, phi_values, solve_w, t_w_lambda
+from .cgo import (PhaseParams, homogeneous_weight, hs_norm, phase_mul, s1_adjoint,
+                  s1_apply, solve_w)
 from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
                   dtn_matrix_cached, dtn_opnorm_diff, solve_dirichlet)
-from .errors import ConfigError, NonConvergence
-from .geometry import curve_distance_c2, make_disk
-from .grid import ComplexField, FourierGrid, ifft2
-from .potentials import (PiecewisePotential, load_potential,
-                         potential_from_description, rasterize)
+from .errors import ConfigError
+from .geometry import curve_distance_c2
+from .grid import ComplexField, FourierGrid, fft2, ifft2
+from .potentials import load_potential, potential_from_description, rasterize
 from .reconstruct import (AMPLIFICATION_BUDGET, amplification_exponent,
                           build_error_weight_map, bukhgeim_trace, lambda_sweep,
-                          reconstruct_boundary, reconstruct_interior)
-from .scattering import FarFieldData, compute_far_field_data, k_norm, solve_lippmann_schwinger
+                          reconstruct_interior)
+from .scattering import (FarFieldData, compute_far_field_data, far_field, k_norm,
+                         solve_lippmann_schwinger)
 from .stationary import FunctionBundle, osc_integral_1d
-from .utils import fit_linear_slope, fit_loglog_slope, write_csv, write_json
+from .utils import (fit_linear_slope, fit_loglog_slope, read_blob, write_blob, write_csv,
+                    write_json)
 
 
 @dataclass
@@ -62,13 +64,6 @@ class ExperimentConfig:
 
     def tol(self, key, default):
         return self.tolerances.get(key, default)
-
-    def resolve_potential(self) -> PiecewisePotential:
-        if "potential_file" in self.params:
-            return load_potential(self.params["potential_file"])
-        if "potential" in self.params:
-            return potential_from_description(self.params["potential"])
-        raise ConfigError("config names no potential")
 
 
 def _outdir(cfg):
@@ -370,9 +365,6 @@ class StabilityRun:
     moduli: list                 # |ln gap|^{1 - s/2}
     schedule_residuals: list     # |lambda - (-ln gap)/(6 d^2)| unless clamped
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def _lens_potential_description(delta: float, half_width=0.08, height=0.04,
                                 bump_amp=0.02, q_value=(1.0, 0.2)) -> dict:
@@ -502,7 +494,7 @@ def run_stability(cfg: ExperimentConfig) -> dict:
                zip(run.deltas, run.curve_distances, run.dtn_gaps, run.lambdas,
                    run.lambda_clamped, run.moduli, run.sup_errors)])
     summary = {"experiment": "stability", "diameter": diameter, "s": s_index,
-               "run": run.as_dict()}
+               "run": asdict(run)}
     write_json(os.path.join(out, "stability_summary.json"), summary)
     return summary
 
@@ -538,59 +530,20 @@ def _critical_field(g, rng, s, amp=1.0):
     return ComplexField(g, f / np.max(np.abs(f)) * amp)
 
 
-def _white_l2_field(g, rng):
-    n = g.n_per_side
-    f = (rng.standard_normal((n, n)) + 0j) * _taper(g)
-    return ComplexField(g, f - np.mean(f))
-
-
-def _weight_mult(g, s):
-    with np.errstate(divide="ignore"):
-        w = g.xi_sq ** (s / 2.0)
-    w[0, 0] = 0.0
-    return w
-
-
 def _s1_opnorm(g, lam, s1, s2, rng, iters=25, seeds=2):
     """|| W_{s2} S1 W_{s1}^{-1} ||_2 by power iteration on the normal operator."""
-    from .grid import fft2 as _fft2
-
     p = PhaseParams(lam, (0.03, -0.02))
-    w_out = _weight_mult(g, s2)
-    w_in = _weight_mult(g, s1)
-    w_in_inv = np.zeros_like(w_in)
-    nz = w_in != 0
-    w_in_inv[nz] = 1.0 / w_in[nz]
-    phi = phi_values(g, p.x)
-    e_plus = np.exp(1j * lam * phi)
-    e_minus = np.conj(e_plus)
+    w_out = homogeneous_weight(g, s2)
+    w_in_inv = homogeneous_weight(g, -s1)
     n = g.n_per_side
-    sym = 0.5j * (g.XI1 - 1j * g.XI2)
-    symb = 0.5j * (g.XI1 + 1j * g.XI2)
-
-    def inv(symbol):
-        mult = np.zeros_like(symbol)
-        nz = symbol != 0
-        mult[nz] = 1.0 / symbol[nz]
-        mult[n // 2, :] = 0.0
-        mult[:, n // 2] = 0.0
-        return mult
-
-    mz, mzb = inv(sym), inv(symb)
 
     def fwd(v):
-        f = ifft2(w_in_inv * v)
-        f = ifft2(mz * _fft2(e_plus * f))
-        f = ifft2(mzb * _fft2(e_minus * f)) * 0.25
-        return w_out * _fft2(f)
+        f = s1_apply(ComplexField(g, ifft2(w_in_inv * v)), p, check_support=False)
+        return w_out * fft2(f.values)
 
     def adj(v):
-        f = ifft2(w_out * v)
-        f = ifft2(np.conj(mzb) * _fft2(f)) * 0.25
-        f = np.conj(e_minus) * f
-        f = ifft2(np.conj(mz) * _fft2(f))
-        f = np.conj(e_plus) * f
-        return w_in_inv * _fft2(f)
+        f = s1_adjoint(ComplexField(g, ifft2(w_out * v)), p)
+        return w_in_inv * fft2(f.values)
 
     best = 0.0
     for _ in range(seeds):
@@ -798,7 +751,6 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
         for eta, theta in directions:
             sol = solve_lippmann_schwinger(V, k, theta)
             residuals.append(sol.residual)
-            from .scattering import far_field
             a = far_field(V, k, eta, theta, solution=sol)
             worst = max(worst, abs(a - born_amp(eps, eta, theta)) / abs(born_amp(eps, eta, theta)))
         mismatches.append(worst)
@@ -828,26 +780,14 @@ _FF_MAGIC = b"FARFLD01"
 
 
 def _save_far_field(path, data: FarFieldData):
-    header = json.dumps({"k": data.k, "n_eta": data.n_eta, "n_theta": data.n_theta,
-                         "dtype": "complex128"}, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_FF_MAGIC)
-        fh.write(len(header).to_bytes(8, "little"))
-        fh.write(header)
-        fh.write(np.ascontiguousarray(data.coeffs).tobytes())
+    write_blob(path, _FF_MAGIC, {"k": data.k}, data.coeffs)
 
 
 def load_far_field(path) -> FarFieldData:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _FF_MAGIC:
-            raise ValueError("not a far-field blob")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode())
-        raw = fh.read()
-    coeffs = np.frombuffer(raw, dtype=np.complex128).reshape(
-        header["n_eta"], header["n_theta"]).copy()
-    samples = np.fft.ifft2(coeffs) * (header["n_eta"] * header["n_theta"])
-    return FarFieldData(k=header["k"], n_eta=header["n_eta"], n_theta=header["n_theta"],
+    header, coeffs = read_blob(path, _FF_MAGIC)
+    n_eta, n_theta = coeffs.shape
+    samples = np.fft.ifft2(coeffs) * (n_eta * n_theta)
+    return FarFieldData(k=header["k"], n_eta=n_eta, n_theta=n_theta,
                         samples=samples, coeffs=coeffs)
 
 

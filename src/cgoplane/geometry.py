@@ -9,7 +9,7 @@ such pieces; corners between pieces are allowed (the rhombus has four).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,8 +25,6 @@ class GraphSegment:
 
     f, df, d2f are vectorized callables on the parameter interval.  ``reverse``
     records the traversal direction when the segment sits in a boundary chain.
-    ``holder_alpha`` is recorded metadata (Hölder exponent of d2f), not
-    machine-checked.
     """
 
     orientation: str
@@ -35,7 +33,6 @@ class GraphSegment:
     df: Callable
     d2f: Callable
     reverse: bool = False
-    holder_alpha: float | None = None
 
     def __post_init__(self):
         if self.orientation not in ("z1", "z2"):
@@ -64,7 +61,7 @@ class GraphSegment:
                 )
 
     @classmethod
-    def from_polynomial(cls, orientation, interval, coeffs, reverse=False, holder_alpha=1.0):
+    def from_polynomial(cls, orientation, interval, coeffs, reverse=False):
         """Graph f(t) = sum_k coeffs[k] t^k."""
         c = np.asarray(coeffs, dtype=float)
         d1 = np.polynomial.polynomial.polyder(c) if len(c) > 1 else np.zeros(1)
@@ -74,24 +71,16 @@ class GraphSegment:
             return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, float), cc)
 
         return cls(orientation, tuple(interval), make(c), make(d1), make(d2),
-                   reverse=reverse, holder_alpha=holder_alpha)
+                   reverse=reverse)
 
     @classmethod
-    def from_callables(cls, orientation, interval, f, df, d2f, reverse=False,
-                       holder_alpha=None):
-        return cls(orientation, tuple(interval), f, df, d2f, reverse=reverse,
-                   holder_alpha=holder_alpha)
-
-    @classmethod
-    def from_spline(cls, orientation, knots, values, end_derivs, reverse=False,
-                    holder_alpha=None):
+    def from_spline(cls, orientation, knots, values, end_derivs, reverse=False):
         """Clamped cubic spline through (knots, values) with endpoint first derivatives."""
         knots = np.asarray(knots, float)
         sp = CubicSpline(knots, np.asarray(values, float),
                          bc_type=((1, float(end_derivs[0])), (1, float(end_derivs[1]))))
         return cls(orientation, (float(knots[0]), float(knots[-1])),
-                   sp, sp.derivative(1), sp.derivative(2), reverse=reverse,
-                   holder_alpha=holder_alpha)
+                   sp, sp.derivative(1), sp.derivative(2), reverse=reverse)
 
     def point(self, tau):
         """Plane point(s) at parameter tau."""
@@ -287,14 +276,10 @@ def make_disk(center=(0.0, 0.0), radius=1.0) -> SubDomain:
             lambda t: d2f(np.asarray(t) - cx),
         )
 
-    right = GraphSegment.from_callables("z2", (cy - r, cy + r), *arc(+1, "z2"),
-                                        holder_alpha=1.0)
-    top = GraphSegment.from_callables("z1", (cx - r, cx + r), *arc(+1, "z1"),
-                                      reverse=True, holder_alpha=1.0)
-    left = GraphSegment.from_callables("z2", (cy - r, cy + r), *arc(-1, "z2"),
-                                       reverse=True, holder_alpha=1.0)
-    bottom = GraphSegment.from_callables("z1", (cx - r, cx + r), *arc(-1, "z1"),
-                                         holder_alpha=1.0)
+    right = GraphSegment("z2", (cy - r, cy + r), *arc(+1, "z2"))
+    top = GraphSegment("z1", (cx - r, cx + r), *arc(+1, "z1"), reverse=True)
+    left = GraphSegment("z2", (cy - r, cy + r), *arc(-1, "z2"), reverse=True)
+    bottom = GraphSegment("z1", (cx - r, cx + r), *arc(-1, "z1"))
     boundary = PiecewiseBoundary([right, top, left, bottom])
     inside = lambda q1, q2: (np.asarray(q1) - cx) ** 2 + (np.asarray(q2) - cy) ** 2 <= a * a  # noqa: E731
     return SubDomain(boundary, inside=inside)

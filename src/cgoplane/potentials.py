@@ -11,11 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import SupportViolation
+from .errors import ConfigError, SupportViolation
 from .geometry import GraphSegment, PiecewiseBoundary, SubDomain, make_disk, make_rhombus
 from .grid import ComplexField, FourierGrid, fft2, ifft2
 
@@ -74,10 +74,14 @@ class PiecewisePotential:
         return m
 
     def content_hash(self) -> str:
-        if self.description is not None:
-            blob = json.dumps(self.description, sort_keys=True).encode()
-        else:
-            blob = repr((self.s, self.r, len(self.pieces))).encode()
+        """Cache key from the description; raises ConfigError without one.
+
+        The pieces are arbitrary callables, so without a description nothing
+        tells two potentials apart and any key would collide.
+        """
+        if self.description is None:
+            raise ConfigError("content_hash needs a potential built from a description")
+        blob = json.dumps(self.description, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -107,11 +111,7 @@ def chi_hr_norm(dom: SubDomain, r: float, g: FourierGrid) -> float:
     """Discrete inhomogeneous H^r norm of the rasterized indicator."""
     if not 0 <= r < 1:
         raise ValueError("chi_hr_norm expects 0 <= r < 1")
-    chi = rasterize_indicator(dom, g)
-    fhat = fft2(chi.values)
-    w = (1.0 + g.xi_sq) ** (r / 2.0)
-    total = np.sum((w * np.abs(fhat)) ** 2)
-    return float(g.h / g.n_per_side * np.sqrt(total))
+    return h_r_norm_field(rasterize_indicator(dom, g), r)
 
 
 def w_s1_norm(q: Callable, s: float, g: FourierGrid) -> float:

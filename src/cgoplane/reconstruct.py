@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cgo import PhaseParams, phi_values, psi_values, solve_w
+from .cgo import PhaseParams, psi_at, solve_w, t_w_lambda
 from .dtn import BoundaryMesh, DtnMatrix
 from .errors import AmplificationExceeded, MeshMismatch, NonConvergence
 from .grid import ComplexField
@@ -69,14 +69,9 @@ class SweepResult:
     refused: tuple = ()     # lambdas whose boundary value exceeded the amplification budget
 
 
-def _psi_at_points(points, x):
-    zeta = (points[:, 0] - x[0]) + 1j * (points[:, 1] - x[1])
-    return 0.5 * zeta * zeta
-
-
 def amplification_exponent(mesh: BoundaryMesh, p: PhaseParams) -> float:
     """Predicted exponent lam * (max - min) of Im psi_x over the mesh nodes."""
-    im_psi = _psi_at_points(mesh.nodes, p.x).imag
+    im_psi = psi_at(mesh.nodes[:, 0], mesh.nodes[:, 1], p.x).imag
     return float(p.lam * (im_psi.max() - im_psi.min()))
 
 
@@ -86,7 +81,7 @@ def bukhgeim_trace(V: ComplexField, p: PhaseParams, mesh: BoundaryMesh,
     """Nodal values of e^{i lam psi_x} (1 + w) on the mesh."""
     if w is None:
         w = solve_w(V, p, tol=tol, max_iter=max_iter)
-    psi = _psi_at_points(mesh.nodes, p.x)
+    psi = psi_at(mesh.nodes[:, 0], mesh.nodes[:, 1], p.x)
     w_nodes = bilinear_sample(V.grid, w.values, mesh.nodes)
     return np.exp(1j * p.lam * psi) * (1.0 + w_nodes)
 
@@ -111,7 +106,7 @@ def reconstruct_boundary(A_V: DtnMatrix, A_0: DtnMatrix, V: ComplexField,
     if trace is None:
         trace = bukhgeim_trace(V, p, mesh, w=w)
     y = (A_V.entries - A_0.entries) @ trace
-    psi_bar = np.conj(_psi_at_points(mesh.nodes, p.x))
+    psi_bar = np.conj(psi_at(mesh.nodes[:, 0], mesh.nodes[:, 1], p.x))
     total = np.sum(mesh.arc_weights * np.exp(1j * p.lam * psi_bar) * y)
     return complex(p.lam / np.pi * total)
 
@@ -122,10 +117,7 @@ def reconstruct_interior(V: ComplexField, p: PhaseParams,
     """(lam/pi) * grid quadrature of e^{i lam phi_x} V (1 + w)."""
     if w is None:
         w = solve_w(V, p, tol=tol, max_iter=max_iter)
-    g = V.grid
-    phase = np.exp(1j * p.lam * phi_values(g, p.x))
-    total = g.h**2 * np.sum(phase * V.values * (1.0 + w.values))
-    return complex(p.lam / np.pi * total)
+    return t_w_lambda(V, 1 + w, p)
 
 
 def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,

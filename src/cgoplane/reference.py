@@ -5,30 +5,14 @@ rotate to u = z1 + z2, v = z1 - z2, where the rhombus with vertices (0,0),
 (1,1), (2,0), (1,-1) becomes the square [0,2]^2 with area element du dv / 2
 and the phase seen from x = (-t,-t) factors as (u + 2t) v.  The brute-force
 oracle is a plain 2D Simpson sum of the oscillatory integrand on that
-square; the closed form reduces the same integral to sine/cosine integrals
-and shows the limit value i/(2 pi) * log(1 + 1/t).
+square.  In closed form the same integral reduces to sine/cosine integrals
+with the limit value i/(2 pi) * log(1 + 1/t), the corrected candidate below.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import sici
-
-
-def interior_functional_exact(lam: float, t: float) -> complex:
-    """(lam/pi) * int_rhombus e^{i lam phi_x} dz for x = (-t,-t), closed form."""
-    a = 4.0 * lam * t
-    b = 4.0 * lam * (1.0 + t)
-    si_a, ci_a = sici(a)
-    si_b, ci_b = sici(b)
-    osc = (ci_b - ci_a) + 1j * (si_b - si_a)
-    return 1j / (2 * np.pi) * np.log(1.0 + 1.0 / t) + osc / (2j * np.pi)
-
-
-def limit_exact(t: float) -> complex:
-    """Large-lambda limit of the interior functional: i/(2 pi) log(1 + 1/t)."""
-    return 1j / (2 * np.pi) * np.log(1.0 + 1.0 / t)
 
 
 def brute_force_functional(lam: float, t: float, pts_per_osc: int = 16,

@@ -11,8 +11,8 @@ error: it is exactly the failure mode of the diagonal counterexample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson

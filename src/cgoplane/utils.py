@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
+
+from .errors import BlobFormatError
 
 
 def bilinear_sample(grid, values, points):
@@ -78,3 +83,49 @@ def _json_default(v):
     if isinstance(v, np.bool_):
         return bool(v)
     raise TypeError(f"not JSON serializable: {type(v)}")
+
+
+def write_blob(path, magic: bytes, header: dict, array):
+    """Write magic, 8-byte header length, JSON header, raw complex128 bytes.
+
+    ``shape`` and ``dtype`` are added to the header.  The bytes go to a
+    temporary file in the same directory that is then renamed over ``path``,
+    so a reader never sees a partly written blob.
+    """
+    arr = np.ascontiguousarray(array, dtype=np.complex128)
+    head = json.dumps({**header, "shape": list(arr.shape), "dtype": "complex128"},
+                      sort_keys=True).encode()
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(magic)
+            fh.write(len(head).to_bytes(8, "little"))
+            fh.write(head)
+            fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def read_blob(path, magic: bytes):
+    """Read a blob written by write_blob; returns (header, array).
+
+    Raises BlobFormatError on a wrong magic, a header that does not fit the
+    file, or a payload whose size does not match the header's shape.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(magic) + 8
+    end = start + int.from_bytes(data[len(magic):start], "little")
+    try:
+        if data[:len(magic)] != magic or end > len(data):
+            raise ValueError("wrong magic or truncated header")
+        header = json.loads(data[start:end])
+        shape = tuple(header["shape"])
+        if header["dtype"] != "complex128" or len(data) - end != math.prod(shape) * 16:
+            raise ValueError("dtype or payload size does not match the header")
+        array = np.frombuffer(data, dtype=np.complex128, offset=end).reshape(shape)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise BlobFormatError(f"{path}: not a valid {magic.decode()} blob: {exc}") from exc
+    return header, array.copy()

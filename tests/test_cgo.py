@@ -115,6 +115,16 @@ class TestPhaseMul:
         rel = (lhs - rhs).l2_norm() / max(lhs.l2_norm(), 1e-300)
         assert rel <= 1e-10
 
+    def test_s1_adjoint_identity(self, grid128, rng):
+        # <S1 f, u> = <f, S1* u> in the grid L^2 pairing, on fields that fill the square
+        p = PhaseParams(64.0, (0.03, -0.02))
+        n = grid128.n_per_side
+        f, u = (ComplexField(grid128, rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n))) for _ in range(2))
+        lhs = np.vdot(u.values, cgo.s1_apply(f, p, check_support=False).values)
+        rhs = np.vdot(cgo.s1_adjoint(u, p).values, f.values)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
     def test_s1_zero(self, grid128):
         p = PhaseParams(10.0, (0.0, 0.0))
         out = cgo.s1_apply(ComplexField.zeros(grid128), p)

@@ -4,7 +4,7 @@ import pytest
 from cgoplane.dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
                           dtn_matrix_cached, dtn_opnorm_diff, load_dtn, save_dtn,
                           solve_dirichlet)
-from cgoplane.errors import MeshMismatch
+from cgoplane.errors import BlobFormatError, MeshMismatch
 from cgoplane.grid import ComplexField, FourierGrid
 
 
@@ -175,6 +175,18 @@ class TestCache:
         assert np.array_equal(A.entries, B.entries)
         assert B.mesh.same_as(mesh)
         assert B.potential_tag == "zero"
+
+    def test_damaged_blob_rejected(self, tmp_path, mesh, op0):
+        path = tmp_path / "a.dtn"
+        save_dtn(path, dtn_matrix(None, mesh, op=op0, potential_tag="zero"))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1])
+        with pytest.raises(BlobFormatError):
+            load_dtn(path)
+        path.write_bytes(b"NOTADTN1" + raw[8:])
+        with pytest.raises(BlobFormatError):
+            load_dtn(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.dtn"]  # no temp file left
 
     def test_cached_matches_uncached(self, tmp_path, mesh):
         v = bump_potential(0.7)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from cgoplane.cli import main as cli_main
-from cgoplane.errors import ConfigError
-from cgoplane.experiments import (ExperimentConfig, load_far_field,
+from cgoplane.errors import BlobFormatError, ConfigError
+from cgoplane.experiments import (ExperimentConfig, _save_far_field, load_far_field,
                                   run_counterexample, run_lemma_checks,
                                   run_scatter, run_stability, schedule_lambda)
+from cgoplane.scattering import FarFieldData
 
 
 class TestConfig:
@@ -104,6 +105,19 @@ class TestScatterRunner:
         assert summary["max_residual"] <= 1e-6
         data = load_far_field(os.path.join(tmp_path, "far_field.ffd"))
         assert data.consistency() < 1e-10
+
+    def test_far_field_blob_exact_and_checked(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = FarFieldData.from_samples(
+            4.0, rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128)))
+        path = tmp_path / "f.ffd"
+        _save_far_field(path, data)
+        back = load_far_field(path)
+        assert (back.k, back.n_eta, back.n_theta) == (4.0, 64, 128)
+        assert np.array_equal(back.coeffs, data.coeffs)
+        path.write_bytes(b"DTNBLOB1" + path.read_bytes()[8:])
+        with pytest.raises(BlobFormatError):
+            load_far_field(path)
 
 
 class TestLemmaRunner:

@@ -17,7 +17,7 @@ class TestGraphSegment:
 
     def test_inconsistent_derivatives_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            GraphSegment.from_callables(
+            GraphSegment(
                 "z1", (0.0, 1.0),
                 f=lambda t: np.sin(t), df=lambda t: np.cos(t),
                 d2f=lambda t: np.cos(t))  # wrong second derivative

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cgoplane.errors import SupportViolation
+from cgoplane.errors import ConfigError, SupportViolation
 from cgoplane.geometry import make_disk, make_rhombus
 from cgoplane.grid import ComplexField, FourierGrid
 from cgoplane.potentials import (PiecewisePotential, chi_hr_norm, dsr_norm_upper,
@@ -39,6 +39,14 @@ class TestPiecewisePotential:
         vals = V(np.array([0.0, 3.0]), np.array([0.0, 0.0]))
         assert vals[0] == 2.0 + 1j
         assert vals[1] == 0.0
+
+    def test_content_hash_needs_description(self, unit_disk):
+        # same (s, r, #pieces), different values: no key may be shared
+        V1 = PiecewisePotential(pieces=((constant_q(1.0), unit_disk),), s=2.5, r=0.3)
+        V2 = PiecewisePotential(pieces=((constant_q(2.0), unit_disk),), s=2.5, r=0.3)
+        for V in (V1, V2):
+            with pytest.raises(ConfigError):
+                V.content_hash()
 
 
 class TestRasterize:

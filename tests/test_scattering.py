@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import hankel1
 
-from cgoplane.errors import CutoffExceedsNyquist, DomainError
+from cgoplane import scattering
+from cgoplane.errors import CutoffExceedsNyquist, DomainError, NearSingular
 from cgoplane.grid import ComplexField, FourierGrid
 from cgoplane.scattering import (FarFieldData, compute_far_field_data, far_field,
                                  green0, k_norm, solve_lippmann_schwinger)
@@ -12,12 +13,12 @@ EULER_GAMMA = 0.5772156649015328606
 
 class TestGreen0:
     def test_against_library_hankel(self):
-        # independent oracle across both evaluation branches
+        # independent oracle: AMOS hankel1 against the Cephes j0/y0 in green0
         k = 2.3
         for d in (1e-4, 0.05, 0.8, 2.0, 3.47, 4.0, 10.0, 40.0):
             got = green0(d, k)
             ref = 0.25j * hankel1(0, k * d)
-            assert abs(got - ref) / abs(ref) < 1e-6, d
+            assert abs(got - ref) / abs(ref) < 1e-12, d
 
     def test_large_argument_modulus(self):
         # |green0| ~ (1/4) sqrt(2/(pi k d)) at kd = 50
@@ -76,6 +77,12 @@ class TestLippmannSchwinger:
         V = bump_field(scatter_grid, 0.5)
         sol = solve_lippmann_schwinger(V, 4.0, (0.0, 1.0))
         assert sol.residual <= 1e-6
+
+    def test_failed_condition_estimate_raises(self, scatter_grid, monkeypatch):
+        # a LAPACK failure must not read as "well conditioned"
+        monkeypatch.setattr(scattering, "zgecon", lambda lu, anorm: (1.0, -2))
+        with pytest.raises(NearSingular):
+            solve_lippmann_schwinger(bump_field(scatter_grid, 0.5), 4.0, (0.0, 1.0))
 
     def test_small_potential_linear_response(self, scatter_grid):
         k = 4.0
