@@ -15,7 +15,8 @@ Wirtinger derivatives act on plane waves e^{i xi . z} as multiplication by
 periodic inverses are the Fourier multipliers 2/(i(xi1 - i xi2)) and
 2/(i(xi1 + i xi2)) with the zero mode set to 0.  These are good surrogates
 for the Cauchy transforms of compactly supported fields as long as the
-support keeps the side_len/4 padding margin of the grid.
+support keeps the side_len/4 padding margin of the grid.  Both multipliers
+are cached per grid object, and e^{i lam phi_x} per (grid object, lam, x).
 
 The correction field w = w_{lambda,x} solves the fixed-point equation
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,15 +91,17 @@ def dzbar(F: ComplexField) -> ComplexField:
     return _apply_multiplier(F, _dzbar_symbol(F.grid))
 
 
-def _inverse_multiplier(symbol):
-    mult = np.zeros_like(symbol)
-    nz = symbol != 0
-    mult[nz] = 1.0 / symbol[nz]
+@lru_cache(maxsize=4)
+def _inverse_multiplier(grid: FourierGrid, symbol) -> np.ndarray:
+    """1/symbol(grid), 0 at xi = 0; built once per (grid, symbol), read-only."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = 1.0 / symbol(grid)
+    mult[0, 0] = 0.0
     # the Nyquist row/column has no conjugate partner on the lattice; zeroing
     # it keeps dzbar_inv(conj F) == conj(dz_inv F) exact for every field
-    nyq = symbol.shape[0] // 2
-    mult[nyq, :] = 0.0
-    mult[:, nyq] = 0.0
+    nyq = grid.n_per_side // 2
+    mult[nyq, :] = mult[:, nyq] = 0.0
+    mult.flags.writeable = False
     return mult
 
 
@@ -109,19 +113,27 @@ def dz_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     """
     if check_support:
         check_padding_support(F, SUPPORT_TOL)
-    return _apply_multiplier(F, _inverse_multiplier(_dz_symbol(F.grid)))
+    return _apply_multiplier(F, _inverse_multiplier(F.grid, _dz_symbol))
 
 
 def dzbar_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     """Periodic inverse of d/dzbar; mirror of dz_inv with the conjugate symbol."""
     if check_support:
         check_padding_support(F, SUPPORT_TOL)
-    return _apply_multiplier(F, _inverse_multiplier(_dzbar_symbol(F.grid)))
+    return _apply_multiplier(F, _inverse_multiplier(F.grid, _dzbar_symbol))
 
 
 def resolution_ok(grid: FourierGrid, lam: float) -> bool:
     """Oscillation-resolution condition lam * side^2 / n^2 <= 1/4."""
     return lam * grid.side_len**2 / grid.n_per_side**2 <= 0.25
+
+
+@lru_cache(maxsize=1)
+def _phase(grid: FourierGrid, p: PhaseParams) -> np.ndarray:
+    """e^{i lam phi_x} on the nodes, built once per (grid, p), read-only."""
+    phase = np.exp(1j * p.lam * phi_values(grid, p.x))
+    phase.flags.writeable = False
+    return phase
 
 
 def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
@@ -139,8 +151,8 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
             RuntimeWarning,
             stacklevel=2,
         )
-    phase = np.exp(1j * sign * p.lam * phi_values(F.grid, p.x))
-    return ComplexField(F.grid, phase * F.values)
+    phase = _phase(F.grid, p)
+    return ComplexField(F.grid, (phase if sign > 0 else phase.conj()) * F.values)
 
 
 def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> ComplexField:
@@ -211,8 +223,7 @@ def t_w_lambda(F: ComplexField, w: ComplexField, p: PhaseParams) -> complex:
     """(lam/pi) * integral of e^{i lam phi_x} F w over the grid."""
     if not F.grid.same_as(w.grid):
         raise ValueError("F and w must share a grid")
-    phase = np.exp(1j * p.lam * phi_values(F.grid, p.x))
-    total = F.grid.h**2 * np.sum(phase * F.values * w.values)
+    total = F.grid.h**2 * np.sum(_phase(F.grid, p) * F.values * w.values)
     return complex(p.lam / np.pi * total)
 
 
@@ -224,6 +235,12 @@ def homogeneous_weight(grid: FourierGrid, s: float) -> np.ndarray:
     return w
 
 
+def _weighted_l2(F: ComplexField, weight_sq) -> float:
+    """h/n * sqrt(sum weight_sq |F^hat|^2): weight_sq = 1 gives the grid L^2 norm."""
+    total = np.sum(weight_sq * np.abs(fft2(F.values)) ** 2)
+    return float(F.grid.h / F.grid.n_per_side * np.sqrt(total))
+
+
 def hs_norm(F: ComplexField, s: float) -> float:
     """Discrete homogeneous Sobolev norm || |xi|^s F^hat ||_{L^2}.
 
@@ -233,7 +250,4 @@ def hs_norm(F: ComplexField, s: float) -> float:
     """
     if not -1 < s < 1:
         raise ValueError("hs_norm supports only |s| < 1")
-    g = F.grid
-    fhat = fft2(F.values)
-    total = np.sum(homogeneous_weight(g, 2 * s) * np.abs(fhat) ** 2)
-    return float(g.h / g.n_per_side * np.sqrt(total))
+    return _weighted_l2(F, homogeneous_weight(F.grid, 2 * s))

@@ -44,6 +44,11 @@ def config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
+def _num(v, spec):
+    """Format a summary number; a runner writes an undefined one as null, shown n/a."""
+    return "n/a" if v is None else format(v, spec)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
@@ -54,7 +59,7 @@ def main(argv=None) -> int:
             for e in s["per_t"]
         ] + [f"constant supported by data: {s['constant_supported_by_data']}"],
         "convergence": lambda s: [
-            f"x={e['x']}: slope {e['interior_slope']:.3f}, "
+            f"x={e['x']}: slope {_num(e['interior_slope'], '.3f')}, "
             f"limit rel err {e['limit_rel_error_of_max']:.3f}"
             for e in s["per_point"]
         ],
@@ -64,13 +69,14 @@ def main(argv=None) -> int:
                                    s["run"]["lambdas"], s["run"]["sup_errors"])
         ],
         "lemmas": lambda s: [
-            f"{c['name']}: slope {c['slope']:.3f} in "
-            f"[{c['budget'][0]:.3g}, {c['budget'][1]:.3g}] -> "
+            f"{c['name']}: slope {_num(c['slope'], '.3f')} in "
+            f"[{_num(c['budget'][0], '.3g')}, {c['budget'][1]:.3g}] -> "
             f"{'PASS' if c['passed'] else 'FAIL'}"
             for c in s["checks"]
         ],
         "scatter": lambda s: [
-            f"born mismatch {s['born_mismatch']}, halving ratio {s['halving_ratio']:.2f}",
+            f"born mismatch {s['born_mismatch']}, "
+            f"halving ratio {_num(s['halving_ratio'], '.2f')}",
             f"k-norm {s['k_norm']:.4e} (tail {s['k_norm_tail']:.2e})",
         ],
     }

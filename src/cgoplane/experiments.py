@@ -147,7 +147,7 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
             "sweep_failures": list(sweep.failures),
             "oracle": oracle,
             "rel_error_vs_oracle": rel_oracle,
-            "re_over_im": abs(est.real) / abs(est.imag),
+            "re_over_im": abs(est.real) / abs(est.imag) if est.imag else None,
             "candidate_printed": cands["printed_sqrt2_over_4pi"],
             "candidate_jacobian_corrected": cands["jacobian_corrected_1_over_2pi"],
             "rel_to_printed": abs(est - cands["printed_sqrt2_over_4pi"]) / abs(cands["printed_sqrt2_over_4pi"]),
@@ -297,8 +297,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
             admitted = [s for s in sweep.samples if s.value_boundary is not None]
             errs_b = [abs(s.value_boundary - s.truth) for s in admitted]
             entry["boundary_lambdas"] = [s.lam for s in admitted]
-            entry["boundary_slope"] = (fit_loglog_slope(entry["boundary_lambdas"], errs_b)
-                                       if len(admitted) >= 2 else None)
+            entry["boundary_slope"] = fit_loglog_slope(entry["boundary_lambdas"], errs_b)
             entry["boundary_errors"] = errs_b
             agree = [abs(s.value_boundary - s.value_interior) / max(abs(s.value_interior), 1e-300)
                      for s in admitted]
@@ -481,7 +480,9 @@ def run_stability(cfg: ExperimentConfig) -> dict:
         run.lambdas.append(float(lam_used))
         run.lambda_clamped.append(bool(clamped))
         run.sup_errors.append(float(sup_err))
-        run.moduli.append(float(abs(np.log(gap)) ** (1 - s_index / 2)))
+        # |ln 0| = inf, and inf ** (1 - s/2) is the gap -> 0 limit of the modulus
+        log_gap = abs(np.log(gap)) if gap > 0 else np.inf
+        run.moduli.append(float(log_gap ** (1 - s_index / 2)))
         run.schedule_residuals.append(float(residual))
 
     write_csv(os.path.join(out, "stability_probes.csv"),
@@ -583,10 +584,13 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     probes = [tuple(p) for p in params["phase_probes"]]
     checks = []
 
-    def record(name, lams, values, slope, budget_lo, budget_hi, passed, note=""):
+    def record(name, lams, values, slope, budget_lo, budget_hi, note=""):
+        # budget_lo None: one-sided budget; slope None: too few positive values
+        passed = (slope is not None and slope <= budget_hi
+                  and (budget_lo is None or budget_lo <= slope))
         checks.append({"name": name, "lambdas": list(lams), "values": list(values),
                        "slope": slope, "budget": [budget_lo, budget_hi],
-                       "passed": bool(passed), "note": note})
+                       "passed": passed, "note": note})
 
     # phase multiplication decay, band-limited fields
     s = 0.25
@@ -602,16 +606,14 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
             vals.append(hs_norm(MF, -s) / hs_norm(F, s))
         ratios.append(float(np.mean(vals)))
     sl = fit_loglog_slope(lams, ratios)
-    record("phase_mul_duality_decay", lams, ratios, sl, -s - 0.2, -s + 0.2,
-           -s - 0.2 <= sl <= -s + 0.2)
+    record("phase_mul_duality_decay", lams, ratios, sl, -s - 0.2, -s + 0.2)
 
     # smoothing-operator norms by power iteration
     for (s1, s2) in ((0.25, 0.5), (0.5, 0.25)):
         tau = 1.0 - s2 + min(s1, s2)
         norms = [_s1_opnorm(g, lam, s1, s2, rng) for lam in lams]
         sl = fit_loglog_slope(lams, norms)
-        record(f"smoothing_opnorm_{s1}_{s2}", lams, norms, sl, -tau - 0.2, -tau + 0.2,
-               -tau - 0.2 <= sl <= -tau + 0.2)
+        record(f"smoothing_opnorm_{s1}_{s2}", lams, norms, sl, -tau - 0.2, -tau + 0.2)
 
     # oscillatory functional of the correction field, operator-norm realization
     lams2 = [v * fac for v in (64.0, 128.0, 256.0, 512.0)]
@@ -631,7 +633,6 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     vals = [float(np.mean(sup_by_lam[lam])) for lam in lams2]
     sl = fit_loglog_slope(lams2, vals)
     record("correction_functional_decay", lams2, vals, sl, -s - 0.2, -s + 0.2,
-           -s - 0.2 <= sl <= -s + 0.2,
            note="sup over unit test fields via the dual norm")
 
     # two-correction functional decay; sup over unit L^2 test fields is the
@@ -653,8 +654,7 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
             sup41[lam].append(best)
     vals41 = [float(np.mean(sup41[lam])) for lam in lams2]
     sl41 = fit_loglog_slope(lams2, vals41)
-    record("double_correction_decay", lams2, vals41, sl41, -np.inf, -2 * s + 0.2,
-           sl41 <= -2 * s + 0.2,
+    record("double_correction_decay", lams2, vals41, sl41, None, -2 * s + 0.2,
            note="sup over unit test fields via the dual norm; one-sided budget")
 
     # 1D oscillatory integrals
@@ -663,14 +663,12 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     h1 = lambda t: np.exp(-t**2) * (1 + 0.3 * t)  # noqa: E731
     vals_s = [abs(osc_integral_1d(gb, h1, lam)) for lam in lams3]
     sl_s = fit_loglog_slope(lams3, vals_s)
-    record("osc1d_one_stationary_point", lams3, vals_s, sl_s, -0.6, -0.4,
-           -0.6 <= sl_s <= -0.4)
+    record("osc1d_one_stationary_point", lams3, vals_s, sl_s, -0.6, -0.4)
     gb2 = FunctionBundle(lambda t: t, lambda t: 1 + 0 * t, lambda t: 0 * t, (0.0, 3.0))
     h2 = lambda t: np.exp(-t)  # noqa: E731
     vals_n = [abs(osc_integral_1d(gb2, h2, lam)) for lam in lams3]
     sl_n = fit_loglog_slope(lams3, vals_n)
-    record("osc1d_no_stationary_point", lams3, vals_n, sl_n, -1.1, -0.9,
-           -1.1 <= sl_n <= -0.9)
+    record("osc1d_no_stationary_point", lams3, vals_n, sl_n, -1.1, -0.9)
 
     # exponential growth of the special solutions through the forward solver
     gr = params["growth"]
@@ -691,14 +689,14 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
         h1s.append(sol.h1_norm())
     growth_slope = fit_linear_slope(lams4, np.log(h1s))
     budget = 1.1 * (2 * radius) ** 2
-    record("special_solution_growth", lams4, h1s, growth_slope, -np.inf, budget,
-           growth_slope <= budget, note="linear fit of log H^1 norm vs lambda")
+    record("special_solution_growth", lams4, h1s, growth_slope, None, budget,
+           note="linear fit of log H^1 norm vs lambda")
 
     out = _outdir(cfg)
     write_csv(os.path.join(out, "lemma_checks.csv"),
               ["name", "slope", "budget_lo", "budget_hi", "passed"],
-              [(c["name"], c["slope"], c["budget"][0], c["budget"][1], c["passed"])
-               for c in checks])
+              [(c["name"], c["slope"], -np.inf if c["budget"][0] is None else c["budget"][0],
+                c["budget"][1], c["passed"]) for c in checks])
     summary = {"experiment": "lemmas", "grid_n": cfg.grid_n,
                "lambda_factor": fac, "checks": checks,
                "all_passed": all(c["passed"] for c in checks)}
@@ -754,7 +752,7 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
             a = far_field(V, k, eta, theta, solution=sol)
             worst = max(worst, abs(a - born_amp(eps, eta, theta)) / abs(born_amp(eps, eta, theta)))
         mismatches.append(worst)
-    halving_ratio = mismatches[0] / mismatches[1] if len(mismatches) > 1 else float("nan")
+    halving_ratio = mismatches[0] / mismatches[1] if len(mismatches) > 1 else None
 
     # full angular dataset and the weighted norm
     V = make_v(params["epsilons"][0])

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .cgo import _weighted_l2
 from .errors import ConfigError, SupportViolation
 from .geometry import GraphSegment, PiecewiseBoundary, SubDomain, make_disk, make_rhombus
 from .grid import ComplexField, FourierGrid, fft2, ifft2
@@ -81,7 +82,7 @@ class PiecewisePotential:
         """
         if self.description is None:
             raise ConfigError("content_hash needs a potential built from a description")
-        blob = json.dumps(self.description, sort_keys=True).encode()
+        blob = json.dumps(self.description, sort_keys=True, allow_nan=False).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -124,10 +125,7 @@ def w_s1_norm(q: Callable, s: float, g: FourierGrid) -> float:
 
 def h_r_norm_field(F: ComplexField, r: float) -> float:
     """Inhomogeneous H^r norm of a sampled field (same weights as chi_hr_norm)."""
-    g = F.grid
-    fhat = fft2(F.values)
-    w = (1.0 + g.xi_sq) ** (r / 2.0)
-    return float(g.h / g.n_per_side * np.sqrt(np.sum((w * np.abs(fhat)) ** 2)))
+    return _weighted_l2(F, (1.0 + F.grid.xi_sq) ** r)
 
 
 def dsr_norm_upper(V: PiecewisePotential, g: FourierGrid) -> float:
@@ -221,4 +219,4 @@ def load_potential(path) -> PiecewisePotential:
 
 def save_potential_description(desc: dict, path):
     with open(path, "w") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True)
+        json.dump(desc, fh, indent=2, sort_keys=True, allow_nan=False)

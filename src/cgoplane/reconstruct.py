@@ -76,11 +76,10 @@ def amplification_exponent(mesh: BoundaryMesh, p: PhaseParams) -> float:
 
 
 def bukhgeim_trace(V: ComplexField, p: PhaseParams, mesh: BoundaryMesh,
-                   w: ComplexField | None = None, tol: float = 1e-8,
-                   max_iter: int = 200) -> np.ndarray:
+                   w: ComplexField | None = None, tol: float = 1e-8) -> np.ndarray:
     """Nodal values of e^{i lam psi_x} (1 + w) on the mesh."""
     if w is None:
-        w = solve_w(V, p, tol=tol, max_iter=max_iter)
+        w = solve_w(V, p, tol=tol)
     psi = psi_at(mesh.nodes[:, 0], mesh.nodes[:, 1], p.x)
     w_nodes = bilinear_sample(V.grid, w.values, mesh.nodes)
     return np.exp(1j * p.lam * psi) * (1.0 + w_nodes)
@@ -112,17 +111,15 @@ def reconstruct_boundary(A_V: DtnMatrix, A_0: DtnMatrix, V: ComplexField,
 
 
 def reconstruct_interior(V: ComplexField, p: PhaseParams,
-                         w: ComplexField | None = None, tol: float = 1e-8,
-                         max_iter: int = 200) -> complex:
+                         w: ComplexField | None = None, tol: float = 1e-8) -> complex:
     """(lam/pi) * grid quadrature of e^{i lam phi_x} V (1 + w)."""
     if w is None:
-        w = solve_w(V, p, tol=tol, max_iter=max_iter)
+        w = solve_w(V, p, tol=tol)
     return t_w_lambda(V, 1 + w, p)
 
 
 def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,
-                 dtn_pair: tuple | None = None, tol: float = 1e-8,
-                 max_iter: int = 200) -> SweepResult:
+                 dtn_pair: tuple | None = None, tol: float = 1e-8) -> SweepResult:
     """Interior-route sweep over increasing lambdas with an averaged limit.
 
     The limit estimate is the mean of the last three successful samples
@@ -142,7 +139,7 @@ def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,
     for lam in lambdas:
         p = PhaseParams(lam=lam, x=(float(x[0]), float(x[1])))
         try:
-            w = solve_w(V, p, tol=tol, max_iter=max_iter)
+            w = solve_w(V, p, tol=tol)
         except NonConvergence:
             failures.append(lam)
             continue
@@ -228,7 +225,7 @@ class ErrorMapResult:
 
 
 def error_map(V: ComplexField, truth_fn, lam: float, xs, weights: ErrorWeightMap,
-              tol: float = 1e-8, max_iter: int = 200) -> ErrorMapResult:
+              tol: float = 1e-8) -> ErrorMapResult:
     """Absolute interior-route error per probe point, masked points excluded."""
     xs = np.atleast_2d(np.asarray(xs, float))
     if xs.shape[0] != weights.xs.shape[0]:
@@ -241,7 +238,7 @@ def error_map(V: ComplexField, truth_fn, lam: float, xs, weights: ErrorWeightMap
         if excluded[i]:
             continue
         p = PhaseParams(lam=lam, x=(x[0], x[1]))
-        val = reconstruct_interior(V, p, tol=tol, max_iter=max_iter)
+        val = reconstruct_interior(V, p, tol=tol)
         values[i] = val
         errors[i] = abs(val - truth[i])
     return ErrorMapResult(xs=xs, errors=errors, excluded=excluded, values=values)

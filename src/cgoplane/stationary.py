@@ -99,7 +99,7 @@ def phase_on_curve(x, seg: GraphSegment) -> FunctionBundle:
     return FunctionBundle(g, g1, g2, seg.interval)
 
 
-def _bisect_then_newton(fun, dfun, lo, hi, tol):
+def _bisect_then_newton(fun, dfun, lo, hi):
     flo = fun(lo)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -120,6 +120,22 @@ def _bisect_then_newton(fun, dfun, lo, hi, tol):
     return root
 
 
+def _lattice_roots(fun, dfun, t, zero_tol: float, relative_merge: bool):
+    """Sorted roots of fun: one per sign change on the lattice t, plus lattice
+    points with |fun| <= zero_tol, merged when within 1e-9 (times max(1, |r|)
+    if ``relative_merge``), as a lattice zero also borders a sign change."""
+    v = np.asarray(fun(t), float)
+    roots = [_bisect_then_newton(fun, dfun, t[k], t[k + 1])
+             for k in np.flatnonzero(v[:-1] * v[1:] < 0)]
+    roots += [float(t[k]) for k in np.flatnonzero(np.abs(v) <= zero_tol)]
+    merged = []
+    for r in sorted(roots):
+        scale = max(1.0, abs(r)) if relative_merge else 1.0
+        if not merged or abs(r - merged[-1]) > 1e-9 * scale:
+            merged.append(r)
+    return merged
+
+
 def find_stationary(x, seg: GraphSegment, tol: float = 1e-10,
                     lattice: int = _LATTICE,
                     degeneracy_threshold: float = DEGENERACY_THRESHOLD) -> StationaryResult:
@@ -134,22 +150,8 @@ def find_stationary(x, seg: GraphSegment, tol: float = 1e-10,
     if float(np.max(np.abs(d))) <= tol:
         return StationaryResult(points=(), whole_segment_flat=True)
 
-    roots = []
-    exact = np.flatnonzero(np.abs(d) <= tol)
-    sign_change = np.flatnonzero(d[:-1] * d[1:] < 0)
-    for k in sign_change:
-        roots.append(_bisect_then_newton(bundle.df, bundle.d2f, t[k], t[k + 1], tol))
-    for k in exact:
-        roots.append(float(t[k]))
-    roots = sorted(roots)
-    # merge near-duplicates from lattice points doubling as sign changes
-    merged = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
-            merged.append(r)
-
     pts = []
-    for r in merged:
+    for r in _lattice_roots(bundle.df, bundle.d2f, t, tol, relative_merge=True):
         if abs(float(bundle.df(r))) > max(tol, 1e3 * tol):
             continue
         g2v = float(bundle.d2f(r))
@@ -275,21 +277,6 @@ class RootMatching:
     c1_distance: float      # measured ||f-g||_{C^1} on the lattice
 
 
-def _simple_roots(bundle: FunctionBundle, lattice: int = _LATTICE, tol: float = 1e-12):
-    t = np.linspace(bundle.interval[0], bundle.interval[1], lattice)
-    v = np.asarray(bundle.f(t), float)
-    roots = []
-    for k in np.flatnonzero(v[:-1] * v[1:] < 0):
-        roots.append(_bisect_then_newton(bundle.f, bundle.df, t[k], t[k + 1], tol))
-    for k in np.flatnonzero(v == 0.0):
-        roots.append(float(t[k]))
-    out = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-9:
-            out.append(r)
-    return out
-
-
 def track_roots(fbundle: FunctionBundle, gbundle: FunctionBundle, eps: float,
                 lattice: int = _LATTICE) -> RootMatching:
     """Pair simple roots of f with nearby roots of g under a small C^1 perturbation.
@@ -298,10 +285,10 @@ def track_roots(fbundle: FunctionBundle, gbundle: FunctionBundle, eps: float,
     with eta the smallest |f'| over the roots and a the smallest |f| outside
     the safety balls; if ||f - g||_{C^1} >= delta the pairing is refused.
     """
-    roots_f = _simple_roots(fbundle)
+    roots_f = _lattice_roots(fbundle.f, fbundle.df, fbundle.lattice(), 0.0, relative_merge=False)
     if not roots_f:
         return RootMatching(pairs=(), delta=np.inf, c1_distance=0.0)
-    t = np.linspace(fbundle.interval[0], fbundle.interval[1], lattice)
+    t = fbundle.lattice(lattice)
     fv = np.asarray(fbundle.f(t), float)
     fd = np.asarray(fbundle.df(t), float)
     gv = np.asarray(gbundle.f(t), float)
@@ -340,7 +327,7 @@ def track_roots(fbundle: FunctionBundle, gbundle: FunctionBundle, eps: float,
             f"||f-g||_C1 = {c1:.3e} >= admissible delta = {delta:.3e}"
         )
 
-    roots_g = _simple_roots(gbundle)
+    roots_g = _lattice_roots(gbundle.f, gbundle.df, gbundle.lattice(), 0.0, relative_merge=False)
     pairs = []
     for rf in roots_f:
         close = [rg for rg in roots_g if abs(rg - rf) < eps]

@@ -36,12 +36,12 @@ def bilinear_sample(grid, values, points):
 
 
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log(ys) against log(xs)."""
+    """Least-squares slope of log(ys) against log(xs); None below two positive points."""
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     keep = (xs > 0) & (ys > 0)
     if keep.sum() < 2:
-        return float("nan")
+        return None
     return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 
 
@@ -68,9 +68,10 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, obj):
+    """Sorted, indented JSON; NaN and Infinity raise ValueError before the file opens."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _json_default(v):
@@ -94,7 +95,7 @@ def write_blob(path, magic: bytes, header: dict, array):
     """
     arr = np.ascontiguousarray(array, dtype=np.complex128)
     head = json.dumps({**header, "shape": list(arr.shape), "dtype": "complex128"},
-                      sort_keys=True).encode()
+                      sort_keys=True, allow_nan=False).encode()
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -144,9 +144,12 @@ def test_criterion_4_operator_decay_suite(tmp_path):
     summary = run_lemma_checks(cfg)
     elapsed = time.time() - t0
 
-    checks = [(c["name"], c["passed"],
-               f"slope {c['slope']:+.3f} in [{c['budget'][0]:.3g}, {c['budget'][1]:.3g}]")
-              for c in summary["checks"]]
+    def detail(c):
+        lo, hi = c["budget"]  # lo is None for a one-sided budget
+        lo = "-inf" if lo is None else f"{lo:.3g}"
+        return f"slope {c['slope']:+.3f} in [{lo}, {hi:.3g}]"
+
+    checks = [(c["name"], c["passed"], detail(c)) for c in summary["checks"]]
     checks.append(("runtime <= 10 min at 256^2", elapsed <= 600.0, f"{elapsed:.0f}s"))
     _report(4, "operator decay suite", checks)
 

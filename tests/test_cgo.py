@@ -1,10 +1,14 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from cgoplane import cgo
 from cgoplane.cgo import PhaseParams
 from cgoplane.errors import NonConvergence, SupportViolation
-from cgoplane.grid import ComplexField, FourierGrid
+from cgoplane.experiments import ExperimentConfig, run_convergence
+from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
 from cgoplane.utils import fit_loglog_slope
 
 from conftest import gaussian_bump, supported_noise
@@ -203,3 +207,65 @@ class TestHsNorm:
         F = ComplexField.zeros(grid128)
         with pytest.raises(ValueError):
             cgo.hs_norm(F, 1.0)
+
+
+def _s1_uncached(F, p):
+    """(1/4) dzbar_inv[e^{-i lam phi} dz_inv[e^{i lam phi} F]], every factor built afresh."""
+    g = F.grid
+    phase = np.exp(1j * p.lam * cgo.phi_values(g, p.x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m_z = 1.0 / (0.5j * (g.XI1 - 1j * g.XI2))
+        m_zbar = 1.0 / (0.5j * (g.XI1 + 1j * g.XI2))
+    nyq = g.n_per_side // 2
+    for m in (m_z, m_zbar):
+        m[0, 0] = 0.0
+        m[nyq, :] = 0.0
+        m[:, nyq] = 0.0
+    inner = ifft2(fft2(phase * F.values) * m_z)
+    return 0.25 * ifft2(fft2(np.conj(phase) * inner) * m_zbar)
+
+
+class TestCaches:
+    def test_s1_apply_never_serves_another_grid_or_phase(self, rng):
+        # equal n, so only the grid object tells the multipliers and phases apart
+        grids = [FourierGrid(64, 4.0), FourierGrid(64, 3.0),
+                 FourierGrid(64, 4.0, center=(0.1, -0.05))]
+        fields = [supported_noise(g, rng) for g in grids]
+        params = [PhaseParams(8.0, (0.0, 0.0)), PhaseParams(12.0, (0.1, -0.05))]
+        for _ in range(2):
+            for F in fields:
+                for p in params:
+                    got = cgo.s1_apply(F, p).values
+                    assert np.array_equal(got, _s1_uncached(F, p))
+
+    def test_s1_apply_under_thread_contention(self, rng):
+        # more threads than cores, switching often: each call must still get
+        # its own grid's multipliers and its own phase from the shared caches
+        grids = [FourierGrid(64, 4.0), FourierGrid(64, 3.0)]
+        cases = [(supported_noise(g, rng), PhaseParams(lam, (0.05 * k, 0.0)))
+                 for g in grids for k, lam in enumerate((8.0, 10.0, 12.0))]
+        expected = [_s1_uncached(F, p) for F, p in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                futures = [ex.submit(cgo.s1_apply, F, p) for _ in range(4) for F, p in cases]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, got in enumerate(results):
+            assert np.array_equal(got.values, expected[i % len(cases)])
+
+    def test_convergence_threads_match_serial_bytes(self, tmp_path):
+        # the phase cache is shared by the sweep threads of jobs > 1
+        params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0, 48.0, 64.0],
+                  "mask_grid": None}
+        outs = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            run_convergence(ExperimentConfig(name="convergence", out_dir=str(out),
+                                             grid_n=64, jobs=jobs, params=params))
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(outs[0]) == ["convergence_pwc-disk.csv",
+                                   "convergence_pwc-disk_summary.json"]
+        assert outs[0] == outs[1]

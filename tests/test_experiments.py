@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cgoplane.experiments import (ExperimentConfig, _save_far_field, load_far_fi
                                   run_counterexample, run_lemma_checks,
                                   run_scatter, run_stability, schedule_lambda)
 from cgoplane.scattering import FarFieldData
+from cgoplane.utils import write_json
 
 
 class TestConfig:
@@ -74,7 +76,26 @@ class TestDeterminism:
         assert b1 == b2
 
 
+class TestJsonOutput:
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), complex(1.0, float("nan")),
+                                       np.float64("inf")])
+    def test_write_json_refuses_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "s.json", {"v": [1.0, value]})
+        assert not (tmp_path / "s.json").exists()
+
+
 class TestStabilityRunner:
+    def test_zero_gap_modulus_without_log_of_zero(self, tmp_path):
+        cfg = ExperimentConfig(name="stability", out_dir=str(tmp_path), grid_n=64,
+                               params={"deltas": [0.0, 0.05]})
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message="divide by zero")
+            run = run_stability(cfg)["run"]
+        assert run["dtn_gaps"][0] == 0.0
+        assert run["moduli"][0] == 0.0  # |ln gap|^{1 - s/2} -> 0 as gap -> 0
+        assert 0.0 < run["moduli"][1] < 1.0
+
     def test_zero_delta_gap_vanishes(self, tmp_path):
         cfg = ExperimentConfig(name="stability", out_dir=str(tmp_path), grid_n=128,
                                params={"deltas": [1e-12, 0.05]})
@@ -118,6 +139,16 @@ class TestScatterRunner:
         path.write_bytes(b"DTNBLOB1" + path.read_bytes()[8:])
         with pytest.raises(BlobFormatError):
             load_far_field(path)
+
+    def test_one_epsilon_writes_null_halving_ratio(self, tmp_path, capsys):
+        cfgfile = tmp_path / "s.json"
+        cfgfile.write_text(json.dumps({"params": {"nystrom_n": 32, "n_angles": 64,
+                                                  "cutoff": 16, "epsilons": [0.2]}}))
+        assert cli_main(["scatter", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert "halving ratio n/a" in capsys.readouterr().out
+        text = (tmp_path / "scatter_summary.json").read_text()
+        assert '"halving_ratio": null' in text
+        assert json.loads(text)["halving_ratio"] is None
 
 
 class TestLemmaRunner:

@@ -34,3 +34,29 @@ def test_detector_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def json_calls_allowing_nan(source: str) -> list[int]:
+    """Lines of json.dump/json.dumps calls that do not pass allow_nan=False."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                and node.func.attr in ("dump", "dumps")):
+            continue
+        if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                   and k.value.value is False for k in node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_detector_sees_json_calls_allowing_nan():
+    src = ("import json\njson.dumps({})\njson.dump({}, fh, allow_nan=False)\n"
+           "json.dumps({}, allow_nan=True)\njson.loads('1')\n")
+    assert json_calls_allowing_nan(src) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_json_output_refuses_nan(path):
+    # JSON has no NaN or Infinity; Python's default writes them anyway
+    assert json_calls_allowing_nan(path.read_text()) == []

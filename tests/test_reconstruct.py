@@ -209,7 +209,7 @@ class TestLambdaSweep:
     def test_nonconvergent_lambdas_recorded(self):
         g = FourierGrid(128, 4.0)
         V = gaussian_bump(g, sigma=0.18, amp=500.0)
-        res = lambda_sweep(V, (0.0, 0.0), [2.0, 1000.0], max_iter=30)
+        res = lambda_sweep(V, (0.0, 0.0), [2.0, 1000.0])
         assert 2.0 in res.failures
         assert len(res.samples) == 1
 
