@@ -28,6 +28,7 @@ the contraction threshold for the given potential.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -128,11 +129,21 @@ def resolution_ok(grid: FourierGrid, lam: float) -> bool:
     return lam * grid.side_len**2 / grid.n_per_side**2 <= 0.25
 
 
-@lru_cache(maxsize=1)
+_phase_slot = threading.local()
+
+
 def _phase(grid: FourierGrid, p: PhaseParams) -> np.ndarray:
-    """e^{i lam phi_x} on the nodes, built once per (grid, p), read-only."""
+    """e^{i lam phi_x} on the nodes, built once per (grid, p), read-only.
+
+    One entry per thread, holding the grid object itself: the sweep threads of
+    a parallel run keep their own phase instead of evicting each other's.
+    """
+    entry = getattr(_phase_slot, "entry", None)
+    if entry is not None and entry[0] is grid and entry[1] == p:
+        return entry[2]
     phase = np.exp(1j * p.lam * phi_values(grid, p.x))
     phase.flags.writeable = False
+    _phase_slot.entry = (grid, p, phase)
     return phase
 
 

@@ -18,7 +18,11 @@ class NonConvergence(CgoplaneError):
 
 
 class NearSingular(CgoplaneError):
-    """Discrete forward operator is numerically singular (condition estimate too large)."""
+    """Discrete forward operator is numerically singular.
+
+    Raised on a condition estimate that is too large, or when an iterative
+    solve stops short of its residual tolerance.
+    """
 
 
 class MeshMismatch(CgoplaneError):

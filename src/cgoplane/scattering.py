@@ -2,13 +2,14 @@
 
 The outgoing fundamental solution of (-Lap - k^2) in the plane is
 (i/4) H0^(1)(k |x - y|), evaluated as (i/4) (J0 + i Y0) with scipy's Cephes
-Bessel functions ``j0`` and ``y0`` (several times faster than
-``scipy.special.hankel1`` on the dense Nystrom distance matrix).
+Bessel functions ``j0`` and ``y0``.
 
 The integral equation u = e^{ik x.theta} - G0 * (V u) is discretized by
 Nystrom collocation on the uniform grid with a singularity-corrected
 diagonal: the log kernel is integrated in local polar coordinates over the
-equal-area disk of one cell.
+equal-area disk of one cell.  The kernel depends only on the index offset, so
+the operator is applied by FFT on a 2n x 2n circulant embedding and solved by
+GMRES (Vainikko 2000; Saad & Schultz 1986).
 """
 
 from __future__ import annotations
@@ -16,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy import special
-from scipy.linalg.lapack import zgecon
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CutoffExceedsNyquist, DomainError, NearSingular
-from .grid import ComplexField, FourierGrid
+from .grid import ComplexField, FourierGrid, fft2, ifft2
 
 _EULER_GAMMA = 0.5772156649015328606
-_COND_LIMIT = 1e12
+_GMRES_TOL = 1e-13      # relative residual ||A u - inc|| / ||inc|| every solve must reach
+_GMRES_RESTART = 30
+_GMRES_MAXITER = 10     # restart cycles: at most 300 iterations per direction
 
 
 def green0(dist, k):
@@ -47,7 +49,7 @@ class ScatterSolution:
     theta: np.ndarray
     u: np.ndarray            # flattened field values (grid order)
     residual: float
-    condition: float
+    iterations: int          # GMRES iterations
 
     def field(self) -> ComplexField:
         n = self.grid.n_per_side
@@ -55,58 +57,54 @@ class ScatterSolution:
 
 
 class _NystromSystem:
-    """Dense Nystrom matrix I + G W V with its factorization, reused across theta."""
+    """Nystrom operator I + G h^2 V applied by FFT, reused across theta."""
 
     def __init__(self, V: ComplexField, k: float):
         g = V.grid
         n = g.n_per_side
-        if n > 128:
-            raise ValueError("dense Nystrom solve limited to grids up to 128 per side")
         self.grid = g
         self.k = float(k)
-        pts1 = g.Z1.ravel()
-        pts2 = g.Z2.ravel()
-        self.pts = np.stack([pts1, pts2], axis=-1)
-        self.v = V.values.ravel()
+        self.pts = np.stack([g.Z1.ravel(), g.Z2.ravel()], axis=-1)
+        self.v = V.values
         h = g.h
 
-        dx = pts1[:, None] - pts1[None, :]
-        dy = pts2[:, None] - pts2[None, :]
-        dist = np.sqrt(dx * dx + dy * dy)
-        del dx, dy
-        np.fill_diagonal(dist, 1.0)
+        # the kernel on the (2n-1)^2 offset lattice, offset (0, 0) at [n-1, n-1]
+        m = np.arange(1 - n, n)
+        dist = h * np.hypot(m[:, None], m[None, :])
+        dist[n - 1, n - 1] = 1.0
         kern = green0(dist, k) * h * h
-        del dist
         # diagonal: integrate the small-argument kernel over the equal-area disk
-        rho = h / np.sqrt(np.pi)
-        log_int = h * h * (np.log(rho) - 0.5)  # int of ln|y| over the cell
-        diag = 0.25j * h * h - (1.0 / (2 * np.pi)) * (
-            h * h * (np.log(k / 2.0) + _EULER_GAMMA) + log_int
-        )
-        np.fill_diagonal(kern, diag)
+        log_int = h * h * (np.log(h / np.sqrt(np.pi)) - 0.5)  # int of ln|y| over the cell
+        kern[n - 1, n - 1] = 0.25j * h * h - (1.0 / (2 * np.pi)) * (
+            h * h * (np.log(k / 2.0) + _EULER_GAMMA) + log_int)
+        circ = np.zeros((2 * n, 2 * n), dtype=complex)
+        circ[np.ix_(m % (2 * n), m % (2 * n))] = kern
+        self._kern_hat = fft2(circ)
+        self._op = LinearOperator((n * n, n * n), matvec=self._apply, dtype=complex)
 
-        a = np.eye(len(self.v), dtype=complex) + kern * self.v[None, :]
-        self._a = a
-        anorm = np.linalg.norm(a, 1)
-        self._lu, self._piv = sla.lu_factor(a)
-        rcond, info = zgecon(self._lu, anorm)
-        if info != 0:
-            raise NearSingular(f"LAPACK zgecon failed (info={info}); no condition estimate")
-        self.condition = 1.0 / max(float(rcond), 1e-300)
-        if self.condition > _COND_LIMIT:
-            raise NearSingular(
-                f"Nystrom system condition estimate {self.condition:.2e}; "
-                "k^2 is (numerically) a resonance of the discretization"
-            )
+    def _apply(self, u):
+        """(I + G h^2 V) u by pad -> fft2 -> multiply -> ifft2 -> crop."""
+        n = self.grid.n_per_side
+        u = u.reshape(n, n)
+        pad = np.zeros((2 * n, 2 * n), dtype=complex)
+        pad[:n, :n] = self.v * u
+        conv = ifft2(self._kern_hat * fft2(pad))[:n, :n]
+        return (u + conv).ravel()
 
     def solve(self, theta) -> ScatterSolution:
         theta = np.asarray(theta, float)
         theta = theta / np.hypot(theta[0], theta[1])
         inc = np.exp(1j * self.k * (self.pts @ theta))
-        u = sla.lu_solve((self._lu, self._piv), inc)
-        res = float(np.linalg.norm(self._a @ u - inc) / np.linalg.norm(inc))
+        steps = []
+        u, _ = gmres(self._op, inc, rtol=_GMRES_TOL, restart=_GMRES_RESTART,
+                     maxiter=_GMRES_MAXITER, callback=steps.append,
+                     callback_type="pr_norm")
+        res = float(np.linalg.norm(self._apply(u) - inc) / np.linalg.norm(inc))
+        if not res <= _GMRES_TOL:
+            raise NearSingular(f"GMRES left relative residual {res:.2e} > {_GMRES_TOL:.0e} "
+                               f"after {len(steps)} iterations; k^2 is near a resonance")
         return ScatterSolution(grid=self.grid, k=self.k, theta=theta, u=u,
-                               residual=res, condition=self.condition)
+                               residual=res, iterations=len(steps))
 
 
 def solve_lippmann_schwinger(V: ComplexField, k: float, theta,
@@ -163,14 +161,12 @@ class FarFieldData:
 
 def compute_far_field_data(V: ComplexField, k: float, n_eta: int = 64,
                            n_theta: int = 64) -> FarFieldData:
-    """Assemble A_V on the full angular grid; one factorization, many directions."""
+    """Assemble A_V on the full angular grid; one kernel transform, many directions."""
     system = _NystromSystem(V, k)
     etas = 2 * np.pi * np.arange(n_eta) / n_eta
     thetas = 2 * np.pi * np.arange(n_theta) / n_theta
-    g = V.grid
-    pts = np.stack([g.Z1.ravel(), g.Z2.ravel()], axis=-1)
     eta_vecs = np.stack([np.cos(etas), np.sin(etas)], axis=-1)
-    recv = np.exp(-1j * k * (eta_vecs @ pts.T)) * (g.h**2 * V.values.ravel())[None, :]
+    recv = np.exp(-1j * k * (eta_vecs @ system.pts.T)) * (V.grid.h**2 * V.values.ravel())[None, :]
     samples = np.empty((n_eta, n_theta), dtype=complex)
     for j, th in enumerate(thetas):
         sol = system.solve((np.cos(th), np.sin(th)))

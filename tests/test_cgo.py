@@ -269,3 +269,26 @@ class TestCaches:
         assert sorted(outs[0]) == ["convergence_pwc-disk.csv",
                                    "convergence_pwc-disk_summary.json"]
         assert outs[0] == outs[1]
+
+    def test_convergence_threads_keep_their_phase(self, tmp_path, monkeypatch):
+        # each sweep thread keeps its own phase: jobs=2 builds no more than jobs=1
+        builds = []
+
+        def counted(grid, x):
+            builds.append(x)
+            return phi_values(grid, x)
+
+        phi_values = cgo.phi_values
+        monkeypatch.setattr(cgo, "phi_values", counted)
+        params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0, 48.0, 64.0],
+                  "mask_grid": None}
+        counts, outs = [], []
+        for jobs in (1, 2):
+            builds.clear()
+            out = tmp_path / f"jobs{jobs}"
+            run_convergence(ExperimentConfig(name="convergence", out_dir=str(out),
+                                             grid_n=128, jobs=jobs, params=params))
+            counts.append(len(builds))
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert 0 < counts[1] <= counts[0]
+        assert outs[0] == outs[1]

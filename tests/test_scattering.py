@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import hankel1
 
 from cgoplane import scattering
@@ -78,11 +79,20 @@ class TestLippmannSchwinger:
         sol = solve_lippmann_schwinger(V, 4.0, (0.0, 1.0))
         assert sol.residual <= 1e-6
 
-    def test_failed_condition_estimate_raises(self, scatter_grid, monkeypatch):
-        # a LAPACK failure must not read as "well conditioned"
-        monkeypatch.setattr(scattering, "zgecon", lambda lu, anorm: (1.0, -2))
-        with pytest.raises(NearSingular):
+    def test_gmres_short_of_tolerance_raises(self, scatter_grid, monkeypatch):
+        # a GMRES that stops short of the tolerance, here while reporting
+        # success, must not hand back its field
+        monkeypatch.setattr(scattering, "gmres", lambda A, b, **kw: (0.5 * b, 0))
+        with pytest.raises(NearSingular, match="residual"):
             solve_lippmann_schwinger(bump_field(scatter_grid, 0.5), 4.0, (0.0, 1.0))
+
+    def test_solve_beyond_the_dense_cap(self):
+        # 256^2 nodes: the dense matrix alone would need about 69 GB
+        grid = FourierGrid(256, 2.2)
+        sol = solve_lippmann_schwinger(bump_field(grid, 0.5), 4.0, (0.6, 0.8))
+        assert sol.residual <= 1e-12
+        assert sol.iterations > 0
+        assert sol.u.shape == (256 * 256,)
 
     def test_small_potential_linear_response(self, scatter_grid):
         k = 4.0
@@ -124,6 +134,57 @@ class TestFarField:
         a1 = far_field(V, k, eta, theta)
         a2 = far_field(V, k, -theta, -eta)
         assert abs(a1 - a2) / abs(a1) < 1e-4
+
+
+def _dense_nystrom(V, k):
+    """Dense I + G h^2 V from green0 and the corrected diagonal (oracle, n <= 32)."""
+    g = V.grid
+    assert g.n_per_side <= 32
+    h = g.h
+    pts = np.stack([g.Z1.ravel(), g.Z2.ravel()], axis=-1)
+    dist = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1))
+    np.fill_diagonal(dist, 1.0)
+    kern = green0(dist, k) * h * h
+    rho = h / np.sqrt(np.pi)
+    np.fill_diagonal(kern, 0.25j * h * h - (h * h * (np.log(k / 2.0) + EULER_GAMMA)
+                                            + h * h * (np.log(rho) - 0.5)) / (2 * np.pi))
+    return np.eye(len(pts)) + kern * V.values.ravel()[None, :], pts
+
+
+class TestDenseOracle:
+    def test_fft_matvec_matches_dense(self, scatter_grid, rng):
+        V = bump_field(scatter_grid, 0.4 - 0.3j)
+        dense, _ = _dense_nystrom(V, 4.0)
+        u = rng.standard_normal(len(dense)) + 1j * rng.standard_normal(len(dense))
+        want = dense @ u
+        got = scattering._NystromSystem(V, 4.0)._apply(u)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-13
+
+    def test_far_field_data_matches_dense_solve(self, scatter_grid):
+        k, n_ang = 4.0, 64
+        V = bump_field(scatter_grid, 0.4)
+        dense, pts = _dense_nystrom(V, k)
+        ang = 2 * np.pi * np.arange(n_ang) / n_ang
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        u = np.linalg.solve(dense, np.exp(1j * k * pts @ dirs.T))
+        recv = np.exp(-1j * k * dirs @ pts.T) * (scatter_grid.h**2 * V.values.ravel())
+        want = recv @ u
+        got = compute_far_field_data(V, k, n_eta=n_ang, n_theta=n_ang).samples
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(eta=st.floats(0.0, 2 * np.pi), theta=st.floats(0.0, 2 * np.pi),
+       modulus=st.floats(0.05, 0.6), arg=st.floats(0.0, 2 * np.pi))
+def test_reciprocity_for_complex_potential(eta, theta, modulus, arg):
+    # G is symmetric, so A(eta, theta) = A(-theta, -eta) holds for complex V too
+    grid = FourierGrid(32, 2.2)
+    V = bump_field(grid, modulus * np.exp(1j * arg))
+    e = np.array([np.cos(eta), np.sin(eta)])
+    t = np.array([np.cos(theta), np.sin(theta)])
+    a1 = far_field(V, 4.0, e, t)
+    a2 = far_field(V, 4.0, -t, -e)
+    assert abs(a1 - a2) <= 1e-10 * max(abs(a1), abs(a2))
 
 
 class TestFarFieldData:
