@@ -5,14 +5,16 @@ The solver discretizes the energy form
     B(u, v) = int_Omega V u v + grad u . grad v
 
 directly on a polar grid (5-point stencil in (r, theta)), with boundary
-nodes sitting exactly on the circle.  Solving the discrete Euler-Lagrange
-equations makes the weak-form pairing independent of the interior extension
-of the test trace up to solver roundoff, and the assembled DtN matrix is
-complex-symmetric by construction: the pairing carries no conjugation.
+nodes sitting exactly on the circle.  The energy is block tridiagonal by
+ring; eliminating it ring by ring from the center outward leaves the DtN
+matrix as the Schur complement on the boundary ring, complex-symmetric by
+construction (no conjugation), and the stored ring solves S_i^{-1} C_i give
+the Dirichlet solve and the guard against 0 being a Dirichlet eigenvalue.
 
 Matrices act on nodal boundary values; the boundary pairing uses the
 uniform arc weights of the mesh.  The H^{1/2} -> H^{-1/2} operator norm
 uses the diagonal weights (1 + n^2)^{1/4} in the boundary Fourier basis.
+Disk cache keys carry the discretization version.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ class BoundaryMesh:
         self.arc_weights = np.full(m, 2 * np.pi * self.radius / m)
         self.fourier_n = np.fft.fftfreq(m, d=1.0 / m).astype(int)
 
-    @property
-    def length(self) -> float:
-        return 2 * np.pi * self.radius
-
     def mesh_hash(self) -> str:
         blob = repr((round(self.center[0], 12), round(self.center[1], 12),
                      round(self.radius, 12), self.n_nodes)).encode()
@@ -66,34 +64,27 @@ class BoundaryMesh:
 
 @dataclass
 class PolarOperator:
-    """Assembled energy form on the polar grid for one potential."""
+    """Assembled energy form on the polar grid for one potential, eliminated ring by ring."""
 
     mesh: BoundaryMesh
     n_r: int
     energy: sp.csr_matrix       # full (interior + boundary + center) energy matrix
     interior_idx: np.ndarray
     boundary_idx: np.ndarray
-    lu: object                  # factorization of the interior block
+    ring_solves: np.ndarray     # S_i^{-1} C_i for the interior rings i = 1..n_r-1
+    schur: np.ndarray           # S_{n_r}: the interior eliminated onto the boundary ring
     node_r: np.ndarray          # radius per dof
     node_theta: np.ndarray
     node_weight: np.ndarray     # quadrature weight per dof
+    potential: np.ndarray       # V per dof; its energy part is diag(V * node_weight)
 
     @property
     def n_dof(self):
         return self.energy.shape[0]
 
 
-def _polar_dof_layout(mesh: BoundaryMesh, n_r: int):
-    """Rings i=1..n_r (ring n_r = boundary) plus a single center node (last)."""
-    m = mesh.n_nodes
-    n_dof = n_r * m + 1
-    center_idx = n_dof - 1
-    ring = lambda i: (i - 1) * m + np.arange(m)  # noqa: E731
-    return n_dof, center_idx, ring
-
-
 def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOperator:
-    """Energy matrix for B(u,v) with the given potential.
+    """Energy matrix for B(u,v) with the given potential, eliminated ring by ring.
 
     V may be a ComplexField (sampled bilinearly onto the polar nodes), a
     callable V(z1, z2), or None for the Laplacian.
@@ -102,7 +93,9 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     R = mesh.radius
     hr = R / n_r
     dth = 2 * np.pi / m
-    n_dof, center_idx, ring = _polar_dof_layout(mesh, n_r)
+    n_dof = n_r * m + 1  # rings i=1..n_r (ring n_r = boundary), then the center node
+    center_idx = n_dof - 1
+    ring = lambda i: (i - 1) * m + np.arange(m)  # noqa: E731
 
     rows, cols, vals = [], [], []
 
@@ -129,16 +122,14 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
         add_edges(idx, nxt, np.full(m, c))
 
     # node coordinates and quadrature weights
-    node_r = np.empty(n_dof)
-    node_theta = np.empty(n_dof)
+    node_r = np.zeros(n_dof)  # the center sits at r = theta = 0
+    node_theta = np.zeros(n_dof)
     node_weight = np.empty(n_dof)
     for i in range(1, n_r + 1):
         idx = ring(i)
         node_r[idx] = i * hr
         node_theta[idx] = mesh.theta
         node_weight[idx] = i * hr * hr * dth if i < n_r else i * hr * (hr / 2) * dth
-    node_r[center_idx] = 0.0
-    node_theta[center_idx] = 0.0
     node_weight[center_idx] = np.pi * (hr / 2) ** 2
 
     z1 = mesh.center[0] + node_r * np.cos(node_theta)
@@ -160,24 +151,55 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     energy = sp.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
 
     boundary_idx = ring(n_r)
-    interior_mask = np.ones(n_dof, dtype=bool)
-    interior_mask[boundary_idx] = False
-    interior_idx = np.flatnonzero(interior_mask)
+    interior_idx = np.append(np.arange((n_r - 1) * m), center_idx)
 
-    a_ii = energy[interior_idx][:, interior_idx].tocsc()
-    lu = spla.splu(a_ii)
-    _condition_guard(a_ii, lu)
+    # block Gaussian elimination from the center outward:
+    # S_1 = A_11 - a a^T / A_cc, then S_{i+1} = A_{i+1,i+1} - C_i S_i^{-1} C_i
+    a_cc, a, coupling = _couplings(energy, m)
+    ring_block = lambda i: energy[(i - 1) * m:i * m, (i - 1) * m:i * m].toarray()  # noqa: E731
+    schur = ring_block(1) - np.outer(a, a) / a_cc
+    ring_solves = np.empty((n_r - 1, m, m), dtype=np.complex128)
+    for i, c in enumerate(coupling, start=1):
+        ring_solves[i - 1] = np.linalg.solve(schur, np.diag(c))
+        schur = ring_block(i + 1) - c[:, None] * ring_solves[i - 1]
 
-    return PolarOperator(mesh=mesh, n_r=n_r, energy=energy,
-                         interior_idx=interior_idx, boundary_idx=boundary_idx,
-                         lu=lu, node_r=node_r, node_theta=node_theta,
-                         node_weight=node_weight)
+    op = PolarOperator(mesh=mesh, n_r=n_r, energy=energy,
+                       interior_idx=interior_idx, boundary_idx=boundary_idx,
+                       ring_solves=ring_solves, schur=schur, node_r=node_r,
+                       node_theta=node_theta, node_weight=node_weight, potential=v_nodes)
+    _condition_guard(op)
+    return op
 
 
-def _condition_guard(a_ii, lu):
+def _couplings(energy, m):
+    """A_cc, the center-to-ring-1 column a, and the diagonals of C_1..C_{n_r-1} as rows."""
+    a = energy[:m, -1].toarray().ravel()
+    # ring i couples to ring i+1 only node to node: the m-th superdiagonal
+    coupling = energy.diagonal(m)[:-1].reshape(-1, m)
+    return energy[-1, -1], a, coupling
+
+
+def _interior_solve(op: PolarOperator, b):
+    """A_II^{-1} b, with b ordered like interior_idx (rings 1..n_r-1, then the center),
+    by one forward and one backward sweep over the stored ring solves."""
+    a_cc, a, coupling = _couplings(op.energy, op.mesh.n_nodes)
+    x = b[:-1].reshape(coupling.shape).astype(np.complex128)
+    x[0] -= a * b[-1] / a_cc
+    for i in range(len(x) - 1):
+        x[i] = op.ring_solves[i] @ (x[i] / coupling[i])
+        x[i + 1] -= coupling[i] * x[i]
+    x[-1] = op.ring_solves[-1] @ (x[-1] / coupling[-1])
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= op.ring_solves[i] @ x[i + 1]
+    return np.append(x, (b[-1] - a @ x[0]) / a_cc)
+
+
+def _condition_guard(op: PolarOperator):
+    a_ii = op.energy[op.interior_idx][:, op.interior_idx]
     norm_a = spla.norm(a_ii, 1)
-    inv_op = spla.LinearOperator(a_ii.shape, matvec=lu.solve,
-                                 rmatvec=lambda b: lu.solve(b, trans="H"),
+    # A_II is complex symmetric, so A_II^{-H} b = conj(A_II^{-1} conj(b))
+    inv_op = spla.LinearOperator(a_ii.shape, matvec=lambda b: _interior_solve(op, b),
+                                 rmatvec=lambda b: np.conj(_interior_solve(op, np.conj(b))),
                                  dtype=complex)
     norm_inv = spla.onenormest(inv_op)
     cond = norm_a * norm_inv
@@ -209,21 +231,11 @@ class PolarSolution:
     def h1_norm(self) -> float:
         """Discrete H^1 norm via the Dirichlet energy plus the L^2 mass."""
         op = self.op
-        lap = _laplacian_energy(op)
+        # the gradient energy is the energy less its potential diagonal
+        lap = op.energy - sp.diags(op.potential * op.node_weight)
         grad = complex(self.full @ (lap @ self.full.conj()))
         mass = float(np.sum(np.abs(self.full) ** 2 * op.node_weight))
         return float(np.sqrt(abs(grad.real) + mass))
-
-
-_LAP_CACHE: dict = {}
-
-
-def _laplacian_energy(op: PolarOperator):
-    key = (op.mesh.mesh_hash(), op.n_r)
-    if key not in _LAP_CACHE:
-        base = assemble_polar_operator(None, op.mesh, op.n_r)
-        _LAP_CACHE[key] = base.energy
-    return _LAP_CACHE[key]
 
 
 def solve_dirichlet(V, f, mesh: BoundaryMesh, n_r: int = 128,
@@ -238,12 +250,9 @@ def solve_dirichlet(V, f, mesh: BoundaryMesh, n_r: int = 128,
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (mesh.n_nodes,):
         raise ValueError("boundary data must have one value per mesh node")
-    a_ib = op.energy[op.interior_idx][:, op.boundary_idx]
-    rhs = -a_ib @ f
-    u_int = op.lu.solve(rhs)
-    full = np.empty(op.n_dof, dtype=np.complex128)
-    full[op.interior_idx] = u_int
+    full = np.zeros(op.n_dof, dtype=np.complex128)
     full[op.boundary_idx] = f
+    full[op.interior_idx] = _interior_solve(op, -(op.energy @ full)[op.interior_idx])
     return PolarSolution(op=op, full=full)
 
 
@@ -261,12 +270,10 @@ class DtnMatrix:
         self.potential_tag = potential_tag
         self.grid_params = dict(grid_params or {})
 
-    def apply(self, f):
-        return self.entries @ np.asarray(f, dtype=np.complex128)
-
     def pair(self, f, g) -> complex:
         """Boundary pairing int (Dtn f) g with the mesh arc weights (no conjugation)."""
-        return complex(np.sum(self.mesh.arc_weights * self.apply(f) * np.asarray(g)))
+        return complex(np.sum(self.mesh.arc_weights * (self.entries @ np.asarray(f))
+                              * np.asarray(g)))
 
     def symmetry_defect(self) -> float:
         a = self.entries
@@ -275,26 +282,13 @@ class DtnMatrix:
 
 def dtn_matrix(V, mesh: BoundaryMesh, n_r: int = 128, potential_tag: str = "",
                op: PolarOperator | None = None) -> DtnMatrix:
-    """Assemble the DtN matrix column by column from nodal hat data.
-
-    Column k holds the nodal values of Lambda applied to the k-th hat
-    function; the entries come from the energy pairing with the solved
-    interior fields, so the matrix is complex-symmetric by construction.
-    """
+    """The DtN matrix S_{n_r} / omega: the energy pairing of the solved interior fields
+    of two boundary traces, so it is complex-symmetric by construction."""
     if op is None:
         op = assemble_polar_operator(V, mesh, n_r)
-    m = mesh.n_nodes
-    a_ib = op.energy[op.interior_idx][:, op.boundary_idx].tocsc()
-    # solve all hat columns against one factorization
-    rhs = -a_ib.toarray()
-    u_int = op.lu.solve(rhs)
-    full = np.zeros((op.n_dof, m), dtype=np.complex128)
-    full[op.interior_idx, :] = u_int
-    full[op.boundary_idx, :] = np.eye(m)
-    gram = full.T @ (op.energy @ full)
     omega = mesh.arc_weights[0]
-    return DtnMatrix(gram / omega, mesh, potential_tag,
-                     grid_params={"n_r": op.n_r, "n_nodes": m})
+    return DtnMatrix(op.schur / omega, mesh, potential_tag,
+                     grid_params={"n_r": op.n_r, "n_nodes": mesh.n_nodes})
 
 
 def dtn_opnorm_diff(A: DtnMatrix, B: DtnMatrix) -> float:
@@ -316,10 +310,11 @@ def dtn_opnorm_diff(A: DtnMatrix, B: DtnMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"DTNBLOB1"
+_VERSION = 2  # of the discretization: bump it when the DtN arithmetic changes
 
 
 def cache_key(potential_hash: str, mesh: BoundaryMesh, n_r: int) -> str:
-    blob = f"{potential_hash}|{mesh.mesh_hash()}|{n_r}".encode()
+    blob = f"{potential_hash}|{mesh.mesh_hash()}|{n_r}|v{_VERSION}".encode()
     return hashlib.sha256(blob).hexdigest()[:24]
 
 
@@ -330,6 +325,7 @@ def save_dtn(path, dtn: DtnMatrix):
                  "n_nodes": dtn.mesh.n_nodes},
         "potential_tag": dtn.potential_tag,
         "grid_params": dtn.grid_params,
+        "version": _VERSION,
     }
     write_blob(path, _MAGIC, header, dtn.entries)
 
@@ -344,11 +340,14 @@ def load_dtn(path) -> DtnMatrix:
 
 def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
                       n_r: int = 128, potential_tag: str = "") -> DtnMatrix:
-    """Content-addressed cache wrapper around dtn_matrix."""
+    """Content-addressed cache wrapper around dtn_matrix; refuses a blob of another mesh."""
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, cache_key(potential_hash, mesh, n_r) + ".dtn")
     if os.path.exists(path):
-        return load_dtn(path)
+        dtn = load_dtn(path)
+        if not dtn.mesh.same_as(mesh) or dtn.grid_params.get("n_r") != n_r:
+            raise MeshMismatch(f"{path} holds a DtN matrix for another mesh or n_r")
+        return dtn
     dtn = dtn_matrix(V, mesh, n_r=n_r, potential_tag=potential_tag)
     save_dtn(path, dtn)
     return dtn

@@ -51,10 +51,11 @@ def fit_linear_slope(xs, ys):
 
 
 def _fmt(v):
+    # float() drops the NumPy scalar type, whose repr would name it: np.float64(...)
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     if isinstance(v, complex):
-        return f"{v.real!r}{'+' if v.imag >= 0 else '-'}{abs(v.imag)!r}j"
+        return f"{float(v.real)!r}{'+' if v.imag >= 0 else '-'}{float(abs(v.imag))!r}j"
     return str(v)
 
 

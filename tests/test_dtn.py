@@ -1,11 +1,15 @@
+import shutil
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from cgoplane.dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
-                          dtn_matrix_cached, dtn_opnorm_diff, load_dtn, save_dtn,
-                          solve_dirichlet)
-from cgoplane.errors import BlobFormatError, MeshMismatch
+from cgoplane.dtn import (BoundaryMesh, _interior_solve, assemble_polar_operator,
+                          cache_key, dtn_matrix, dtn_matrix_cached, dtn_opnorm_diff,
+                          load_dtn, save_dtn, solve_dirichlet)
+from cgoplane.errors import BlobFormatError, MeshMismatch, NearSingular
 from cgoplane.grid import ComplexField, FourierGrid
+from cgoplane.utils import read_blob
 
 
 def bump_potential(amp=1.0, sigma=0.25):
@@ -196,6 +200,78 @@ class TestCache:
         assert np.max(np.abs(c1.entries - direct.entries)) < 1e-12
         assert np.array_equal(c1.entries, c2.entries)  # second call reads the blob
         assert len(list(tmp_path.glob("*.dtn"))) == 1
+
+    def test_blob_at_another_mesh_key_refused(self, tmp_path):
+        small = BoundaryMesh(radius=1.0, n_nodes=64)
+        dtn_matrix_cached(tmp_path, "h", None, small, n_r=16, potential_tag="zero")
+        path = tmp_path / (cache_key("h", small, 16) + ".dtn")
+        assert "version" in read_blob(path, b"DTNBLOB1")[0]
+        for other, n_r in ((BoundaryMesh(radius=0.9, n_nodes=64), 16), (small, 24)):
+            shutil.copy(path, tmp_path / (cache_key("h", other, n_r) + ".dtn"))
+            with pytest.raises(MeshMismatch):
+                dtn_matrix_cached(tmp_path, "h", None, other, n_r=n_r, potential_tag="zero")
+
+
+class TestSingularityGuard:
+    """V = -mu_1 makes 0 the smallest discrete Dirichlet eigenvalue of the interior block."""
+
+    @pytest.fixture(scope="class")
+    def mu1(self):
+        op = assemble_polar_operator(None, BoundaryMesh(n_nodes=64), n_r=32)
+        idx = op.interior_idx
+        lap = op.energy[idx][:, idx].toarray().real
+        weights = np.diag(op.node_weight[idx])
+        return sla.eigh(lap, weights, eigvals_only=True, subset_by_index=[0, 0])[0]
+
+    @staticmethod
+    def constant(value):
+        return lambda Z1, Z2: np.full(np.shape(Z1), value)
+
+    def test_dirichlet_eigenvalue_refused(self, mu1):
+        with pytest.raises(NearSingular):
+            assemble_polar_operator(self.constant(-mu1), BoundaryMesh(n_nodes=64), n_r=32)
+
+    @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+    def test_shifted_eigenvalue_passes(self, mu1, shift):
+        assemble_polar_operator(self.constant(-(mu1 + shift)), BoundaryMesh(n_nodes=64), n_r=32)
+
+
+class TestDenseOracle:
+    """Ring elimination against a dense interior solve of the assembled energy."""
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        mesh = BoundaryMesh(n_nodes=64)
+        op = assemble_polar_operator(
+            lambda Z1, Z2: (2.0 - 1.5j) * np.exp(-((Z1 - 0.2)**2 + Z2**2) / 0.1), mesh, n_r=16)
+        energy = op.energy.toarray()
+        a_ii = energy[np.ix_(op.interior_idx, op.interior_idx)]
+        a_ib = energy[np.ix_(op.interior_idx, op.boundary_idx)]
+        return mesh, op, energy, a_ii, a_ib
+
+    def test_dtn_is_the_gram_of_solved_hat_columns(self, dense):
+        mesh, op, energy, a_ii, a_ib = dense
+        full = np.zeros((op.n_dof, 64), dtype=complex)
+        full[op.interior_idx] = np.linalg.solve(a_ii, -a_ib)
+        full[op.boundary_idx] = np.eye(64)
+        gram = full.T @ energy @ full / mesh.arc_weights[0]
+        got = dtn_matrix(None, mesh, op=op).entries
+        assert np.linalg.norm(got - gram) / np.linalg.norm(gram) <= 1e-12
+
+    def test_dirichlet_solve(self, dense, rng):
+        mesh, op, energy, a_ii, a_ib = dense
+        f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        want = np.linalg.solve(a_ii, -a_ib @ f)
+        got = solve_dirichlet(None, f, mesh, op=op).full[op.interior_idx]
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+
+    def test_interior_sweep_with_center_load(self, dense, rng):
+        # the condition guard applies the sweep to vectors loading every interior dof
+        _, op, _, a_ii, _ = dense
+        b = rng.standard_normal(a_ii.shape[0]) + 1j * rng.standard_normal(a_ii.shape[0])
+        want = np.linalg.solve(a_ii, b)
+        got = _interior_solve(op, b)
+        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
 
 
 def test_potential_from_field_sampling(mesh):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import warnings
@@ -126,6 +127,17 @@ class TestScatterRunner:
         assert summary["max_residual"] <= 1e-6
         data = load_far_field(os.path.join(tmp_path, "far_field.ffd"))
         assert data.consistency() < 1e-10
+
+    def test_samples_csv_cells_are_numbers(self, tmp_path):
+        cfg = ExperimentConfig(name="scatter", out_dir=str(tmp_path), grid_n=64,
+                               params={"nystrom_n": 32, "n_angles": 64, "cutoff": 16})
+        run_scatter(cfg)
+        with open(tmp_path / "far_field_samples.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["i_eta", "j_theta", "re", "im"]
+        # float() raises on a NumPy repr such as np.float64(0.1)
+        values = [[float(cell) for cell in row] for row in rows[1:]]
+        assert len(values) == 16 * 16
 
     def test_far_field_blob_exact_and_checked(self, tmp_path):
         rng = np.random.default_rng(3)

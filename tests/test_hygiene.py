@@ -60,3 +60,42 @@ def test_detector_sees_json_calls_allowing_nan():
 def test_json_output_refuses_nan(path):
     # JSON has no NaN or Infinity; Python's default writes them anyway
     assert json_calls_allowing_nan(path.read_text()) == []
+
+
+def global_caches(source: str) -> list[str]:
+    """Module-level names bound to an empty dict that a function fills by subscript."""
+    tree = ast.parse(source)
+    empty = {}
+    for node in tree.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else getattr(node, "target", None)
+        value = getattr(node, "value", None)
+        if isinstance(target, ast.Name) and (
+                (isinstance(value, ast.Dict) and not value.keys)
+                or (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                    and value.func.id == "dict" and not value.args and not value.keywords)):
+            empty[target.id] = node.lineno
+    filled = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [getattr(node, "target", None)])
+            filled.update(t.value.id for t in targets
+                          if isinstance(t, ast.Subscript) and isinstance(t.value, ast.Name)
+                          and t.value.id in empty)
+    return [f"{name} (line {empty[name]})" for name in sorted(filled)]
+
+
+def test_detector_sees_global_caches():
+    src = ("_A: dict = {}\n_B = dict()\n_C = {}\n_D = {'k': 1}\n_E = {}\n"
+           "def f(k):\n    _A[k] = 1\n    _B[k] += 1\n    _D[k] = 2\n    return _C[k]\n"
+           "def g(k):\n    local = {}\n    local[k] = 1\n    return local\n"
+           "_E['k'] = 3\n")
+    assert global_caches(src) == ["_A (line 1)", "_B (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unbounded_global_cache(path):
+    # a module-level dict that calls fill grows for the life of the process
+    assert global_caches(path.read_text()) == []
