@@ -10,6 +10,14 @@ diagonal: the log kernel is integrated in local polar coordinates over the
 equal-area disk of one cell.  The kernel depends only on the index offset, so
 the operator is applied by FFT on a 2n x 2n circulant embedding and solved by
 GMRES (Vainikko 2000; Saad & Schultz 1986).
+
+The far-field dataset solves once per angular Fourier mode of the incident
+waves, not once per direction.  Over n equispaced directions the DFT gives
+e^{ik x.theta_j} = sum_m B_m(x) e^{2 pi i m j / n} exactly, and B_m is the
+Jacobi-Anger term i^m J_m(k|x|) e^{-im phi} up to aliasing (Colton & Kress,
+Inverse Acoustic and Electromagnetic Scattering Theory).  Only the modes
+above the roundoff budget are solved; their solutions are the total fields
+of the Fourier-Bessel incident waves that the T-matrix is built from.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import fft as sfft, special
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CutoffExceedsNyquist, DomainError, NearSingular
@@ -26,7 +34,7 @@ from .grid import ComplexField, FourierGrid, fft2, ifft2
 _EULER_GAMMA = 0.5772156649015328606
 _GMRES_TOL = 1e-13      # relative residual ||A u - inc|| / ||inc|| every solve must reach
 _GMRES_RESTART = 30
-_GMRES_MAXITER = 10     # restart cycles: at most 300 iterations per direction
+_GMRES_MAXITER = 10     # restart cycles: at most 300 iterations per solve
 
 
 def green0(dist, k):
@@ -80,7 +88,6 @@ class _NystromSystem:
         circ = np.zeros((2 * n, 2 * n), dtype=complex)
         circ[np.ix_(m % (2 * n), m % (2 * n))] = kern
         self._kern_hat = fft2(circ)
-        self._op = LinearOperator((n * n, n * n), matvec=self._apply, dtype=complex)
 
     def _apply(self, u):
         """(I + G h^2 V) u by pad -> fft2 -> multiply -> ifft2 -> crop."""
@@ -91,20 +98,33 @@ class _NystromSystem:
         conv = ifft2(self._kern_hat * fft2(pad))[:n, :n]
         return (u + conv).ravel()
 
+    def solve_to(self, b, rtol):
+        """GMRES on A u = b to relative tolerance rtol; returns u and the iteration count."""
+        steps = []
+        # built per call: an operator held on self would tie self into a reference cycle,
+        # and the kernel transform would outlive the system until a full gc pass
+        op = LinearOperator((b.size, b.size), matvec=self._apply, dtype=complex)
+        u, _ = gmres(op, b, rtol=rtol, restart=_GMRES_RESTART,
+                     maxiter=_GMRES_MAXITER, callback=steps.append,
+                     callback_type="pr_norm")
+        return u, len(steps)
+
+    def checked_residual(self, u, inc, iterations) -> float:
+        """True relative residual ||A u - inc|| / ||inc||; NearSingular above _GMRES_TOL."""
+        res = float(np.linalg.norm(self._apply(u) - inc) / np.linalg.norm(inc))
+        if not res <= _GMRES_TOL:
+            raise NearSingular(f"GMRES left relative residual {res:.2e} > {_GMRES_TOL:.0e} "
+                               f"after {iterations} iterations; k^2 is near a resonance")
+        return res
+
     def solve(self, theta) -> ScatterSolution:
         theta = np.asarray(theta, float)
         theta = theta / np.hypot(theta[0], theta[1])
         inc = np.exp(1j * self.k * (self.pts @ theta))
-        steps = []
-        u, _ = gmres(self._op, inc, rtol=_GMRES_TOL, restart=_GMRES_RESTART,
-                     maxiter=_GMRES_MAXITER, callback=steps.append,
-                     callback_type="pr_norm")
-        res = float(np.linalg.norm(self._apply(u) - inc) / np.linalg.norm(inc))
-        if not res <= _GMRES_TOL:
-            raise NearSingular(f"GMRES left relative residual {res:.2e} > {_GMRES_TOL:.0e} "
-                               f"after {len(steps)} iterations; k^2 is near a resonance")
+        u, iterations = self.solve_to(inc, _GMRES_TOL)
         return ScatterSolution(grid=self.grid, k=self.k, theta=theta, u=u,
-                               residual=res, iterations=len(steps))
+                               residual=self.checked_residual(u, inc, iterations),
+                               iterations=iterations)
 
 
 def solve_lippmann_schwinger(V: ComplexField, k: float, theta,
@@ -161,17 +181,44 @@ class FarFieldData:
 
 def compute_far_field_data(V: ComplexField, k: float, n_eta: int = 64,
                            n_theta: int = 64) -> FarFieldData:
-    """Assemble A_V on the full angular grid; one kernel transform, many directions."""
+    """Assemble A_V on the full angular grid by one solve per angular mode of the incident waves.
+
+    The DFT over the equispaced directions writes inc_j = sum_m B_m e^{2 pi i m j / n_theta}
+    exactly.  Modes whose norms sum to at most tol/2 * ||inc|| are dropped, and the rest are
+    solved to a common relative tolerance whose residuals sum to at most tol/2 * ||inc||, so
+    every direction's residual stays under tol = _GMRES_TOL; each is checked all the same.
+    """
     system = _NystromSystem(V, k)
-    etas = 2 * np.pi * np.arange(n_eta) / n_eta
+    pts = system.pts
     thetas = 2 * np.pi * np.arange(n_theta) / n_theta
-    eta_vecs = np.stack([np.cos(etas), np.sin(etas)], axis=-1)
-    recv = np.exp(-1j * k * (eta_vecs @ system.pts.T)) * (V.grid.h**2 * V.values.ravel())[None, :]
-    samples = np.empty((n_eta, n_theta), dtype=complex)
-    for j, th in enumerate(thetas):
-        sol = system.solve((np.cos(th), np.sin(th)))
-        samples[:, j] = recv @ sol.u
-    return FarFieldData.from_samples(k, samples)
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    # incident waves as columns, transformed in place into the modes B_m
+    modes = np.zeros((len(pts), n_theta), dtype=complex)
+    np.matmul(pts, k * dirs.T, out=modes.imag)
+    np.exp(modes, out=modes)
+    modes = sfft.fft(modes, axis=1, norm="forward", overwrite_x=True)
+    mode_norm = np.linalg.norm(modes, axis=0)
+    budget = 0.5 * _GMRES_TOL * np.sqrt(len(pts))
+    order = np.argsort(mode_norm)
+    keep = np.sort(order[np.cumsum(mode_norm[order]) > budget])
+    rtol = budget / np.sum(mode_norm[keep])
+    X = np.empty((len(pts), len(keep)), dtype=complex)
+    iterations = 0
+    for col, m in enumerate(keep):
+        X[:, col], its = system.solve_to(modes[:, m], rtol)
+        iterations = max(iterations, its)
+    del modes
+    # exact DFT phases: the integer product m*j is reduced before it becomes an angle
+    E = np.exp(2j * np.pi * (np.outer(keep, np.arange(n_theta)) % n_theta) / n_theta)
+    for j, d in enumerate(dirs):
+        system.checked_residual(X @ E[:, j], np.exp(1j * k * (pts @ d)), iterations)
+
+    weights = V.grid.h**2 * V.values.ravel()
+    etas = 2 * np.pi * np.arange(n_eta) / n_eta
+    RX = np.empty((n_eta, len(keep)), dtype=complex)
+    for i, eta in enumerate(etas):
+        RX[i] = (np.exp(-1j * k * (pts @ (np.cos(eta), np.sin(eta)))) * weights) @ X
+    return FarFieldData.from_samples(k, RX @ E)
 
 
 @dataclass(frozen=True)

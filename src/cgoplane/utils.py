@@ -94,7 +94,7 @@ def write_blob(path, magic: bytes, header: dict, array):
     temporary file in the same directory that is then renamed over ``path``,
     so a reader never sees a partly written blob.
     """
-    arr = np.ascontiguousarray(array, dtype=np.complex128)
+    arr = np.asarray(array, dtype=np.complex128)
     head = json.dumps({**header, "shape": list(arr.shape), "dtype": "complex128"},
                       sort_keys=True, allow_nan=False).encode()
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import gmres
 from scipy.special import hankel1
 
 from cgoplane import scattering
@@ -94,6 +98,19 @@ class TestLippmannSchwinger:
         assert sol.iterations > 0
         assert sol.u.shape == (256 * 256,)
 
+    def test_system_freed_without_gc(self, scatter_grid):
+        # no reference cycle: the kernel transform goes when the last reference does,
+        # not at the next full gc pass
+        gc.disable()
+        try:
+            system = scattering._NystromSystem(bump_field(scatter_grid, 0.5), 4.0)
+            system.solve((0.0, 1.0))
+            ref = weakref.ref(system)
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_small_potential_linear_response(self, scatter_grid):
         k = 4.0
         theta = (1.0, 0.0)
@@ -171,6 +188,46 @@ class TestDenseOracle:
         want = recv @ u
         got = compute_far_field_data(V, k, n_eta=n_ang, n_theta=n_ang).samples
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-12
+
+
+class TestFarFieldModes:
+    """compute_far_field_data solves once per angular mode, not once per direction."""
+
+    N_ETA, N_THETA, K = 64, 128, 4.0
+
+    @pytest.fixture(scope="class")
+    def complex_bump(self, scatter_grid):
+        return bump_field(scatter_grid, 0.4 - 0.3j)
+
+    def test_matches_per_direction_far_field(self, complex_bump):
+        # pins the DFT sign and the mode/direction index arithmetic
+        data = compute_far_field_data(complex_bump, self.K, n_eta=self.N_ETA,
+                                      n_theta=self.N_THETA)
+        scale = np.max(np.abs(data.samples))
+        for i, j in [(0, 0), (5, 77), (31, 1), (17, 64), (63, 127)]:
+            eta = 2 * np.pi * i / self.N_ETA
+            theta = 2 * np.pi * j / self.N_THETA
+            want = far_field(complex_bump, self.K, (np.cos(eta), np.sin(eta)),
+                             (np.cos(theta), np.sin(theta)))
+            assert abs(data.samples[i, j] - want) <= 1e-12 * scale, (i, j)
+
+    def test_fewer_solves_than_directions(self, complex_bump, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gmres(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, "gmres", counted)
+        compute_far_field_data(complex_bump, self.K, n_eta=self.N_ETA, n_theta=self.N_THETA)
+        assert 0 < len(calls) < self.N_THETA
+
+    def test_gmres_short_of_tolerance_raises(self, complex_bump, monkeypatch):
+        # every direction keeps its own true-residual check
+        monkeypatch.setattr(scattering, "gmres", lambda A, b, **kw: (0.5 * b, 0))
+        with pytest.raises(NearSingular, match="residual"):
+            compute_far_field_data(complex_bump, self.K, n_eta=self.N_ETA,
+                                   n_theta=self.N_THETA)
 
 
 @settings(max_examples=20, deadline=None)
