@@ -21,7 +21,7 @@ from .cgo import (PhaseParams, homogeneous_weight, hs_norm, phase_mul, s1_adjoin
                   s1_apply, solve_w)
 from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
                   dtn_matrix_cached, dtn_opnorm_diff, solve_dirichlet)
-from .errors import ConfigError
+from .errors import BlobFormatError, ConfigError
 from .geometry import curve_distance_c2
 from .grid import ComplexField, FourierGrid, fft2, ifft2
 from .potentials import load_potential, potential_from_description, rasterize
@@ -44,7 +44,6 @@ class ExperimentConfig:
     grid_n: int = 256
     seed: int = 12345
     jobs: int = 1
-    tolerances: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -61,9 +60,6 @@ class ExperimentConfig:
             data = json.load(fh)
         data.update(overrides)
         return cls(**data)
-
-    def tol(self, key, default):
-        return self.tolerances.get(key, default)
 
 
 def _outdir(cfg):
@@ -117,7 +113,6 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     g = FourierGrid(n, side, center=(0.0, h / 2))
     V_pw = potential_from_description(params["potential"])
     V = rasterize(V_pw, g)
-    tol = cfg.tol("solve_w", 1e-8)
 
     out = _outdir(cfg)
     rows = []
@@ -126,7 +121,7 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
         x = (-t, -t)
         side_err = reference.side_phase_max_error(t)
         lint_quad, lint_closed = reference.diagonal_line_integral(t)
-        sweep = lambda_sweep(V, x, lams, truth=0.0, tol=tol)
+        sweep = lambda_sweep(V, x, lams, truth=0.0)
         oracle = reference.oracle_limit(t, lams=tuple(params["oracle_lambdas"]))
         cands = reference.candidate_constants(t)
         est = sweep.limit
@@ -242,7 +237,6 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     V = rasterize(V_pw, g)
     lams = [float(v) for v in params["lambdas"]]
     probes = np.asarray(params["probes"], float)
-    tol = cfg.tol("solve_w", 1e-8)
     out = _outdir(cfg)
 
     boundaries = [dom.boundary for _, dom in V_pw.pieces]
@@ -266,7 +260,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     def sweep_point(i):
         x = probes[i]
         truth = complex(np.asarray(V_pw(np.array([x[0]]), np.array([x[1]])))[0])
-        return lambda_sweep(V, x, lams, truth=truth, dtn_pair=dtn_pair, tol=tol)
+        return lambda_sweep(V, x, lams, truth=truth, dtn_pair=dtn_pair)
 
     indices = [i for i in range(len(probes)) if not excluded[i]]
     if cfg.jobs > 1:
@@ -429,7 +423,6 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     side = float(params["side"])
     g = FourierGrid(cfg.grid_n, side)
     lam_max = 0.25 * cfg.grid_n**2 / side**2
-    tol = cfg.tol("solve_w", 1e-8)
     out = _outdir(cfg)
 
     desc1 = _lens_potential_description(0.0, **lens)
@@ -469,8 +462,8 @@ def run_stability(cfg: ExperimentConfig) -> dict:
             if excluded[i]:
                 continue
             p = PhaseParams(lam_used, (x[0], x[1]))
-            r1 = reconstruct_interior(V1, p, tol=tol)
-            r2 = reconstruct_interior(V2, p, tol=tol)
+            r1 = reconstruct_interior(V1, p)
+            r2 = reconstruct_interior(V2, p)
             sup_err = max(sup_err, abs(r1 - r2))
             rows.append((delta, x[0], x[1], lam_used, r1.real, r1.imag,
                          r2.real, r2.imag, abs(r1 - r2)))
@@ -783,7 +776,10 @@ def _save_far_field(path, data: FarFieldData):
 
 def load_far_field(path) -> FarFieldData:
     header, coeffs = read_blob(path, _FF_MAGIC)
-    n_eta, n_theta = coeffs.shape
+    try:
+        n_eta, n_theta = FarFieldData.angle_grid(coeffs.shape)
+    except ValueError as exc:
+        raise BlobFormatError(f"{path}: {exc}") from exc
     samples = np.fft.ifft2(coeffs) * (n_eta * n_theta)
     return FarFieldData(k=header["k"], n_eta=n_eta, n_theta=n_theta,
                         samples=samples, coeffs=coeffs)

@@ -82,13 +82,16 @@ class GraphSegment:
         return cls(orientation, (float(knots[0]), float(knots[-1])),
                    sp, sp.derivative(1), sp.derivative(2), reverse=reverse)
 
+    def frame(self, a, b):
+        """Swap plane coordinates (z1, z2) into the (parameter, value) frame of the
+        graph, and back: (a, b) for a z1-graph, (b, a) for a z2-graph."""
+        return (a, b) if self.orientation == "z1" else (b, a)
+
     def point(self, tau):
         """Plane point(s) at parameter tau."""
         tau = np.asarray(tau, float)
         val = np.asarray(self.f(tau), float)
-        if self.orientation == "z1":
-            return np.stack(np.broadcast_arrays(tau, val), axis=-1)
-        return np.stack(np.broadcast_arrays(val, tau), axis=-1)
+        return np.stack(np.broadcast_arrays(*self.frame(tau, val)), axis=-1)
 
     def start_end(self):
         a, b = self.interval
@@ -260,26 +263,20 @@ def make_disk(center=(0.0, 0.0), radius=1.0) -> SubDomain:
     a = float(radius)
     r = a / math.sqrt(2.0)
 
-    def arc(sign, axis):
-        f = lambda t: sign * np.sqrt(a * a - (np.asarray(t, float)) ** 2)  # noqa: E731
-        df = lambda t: -sign * np.asarray(t, float) / np.sqrt(a * a - np.asarray(t, float) ** 2)  # noqa: E731
-        d2f = lambda t: -sign * a * a / np.power(a * a - np.asarray(t, float) ** 2, 1.5)  # noqa: E731
-        if axis == "z2":  # z1 = cx + f(z2 - cy), parameter is z2
-            return (
-                lambda t: cx + f(np.asarray(t) - cy),
-                lambda t: df(np.asarray(t) - cy),
-                lambda t: d2f(np.asarray(t) - cy),
-            )
-        return (
-            lambda t: cy + f(np.asarray(t) - cx),
-            lambda t: df(np.asarray(t) - cx),
-            lambda t: d2f(np.asarray(t) - cx),
-        )
+    def arc(orientation, center_t, center_f, sign, reverse=False):
+        # the graph f(t) = center_f + sign * sqrt(a^2 - (t - center_t)^2)
+        u = lambda t: np.asarray(t, float) - center_t  # noqa: E731
+        return GraphSegment(
+            orientation, (center_t - r, center_t + r),
+            lambda t: center_f + sign * np.sqrt(a * a - u(t) ** 2),
+            lambda t: -sign * u(t) / np.sqrt(a * a - u(t) ** 2),
+            lambda t: -sign * a * a / np.power(a * a - u(t) ** 2, 1.5),
+            reverse=reverse)
 
-    right = GraphSegment("z2", (cy - r, cy + r), *arc(+1, "z2"))
-    top = GraphSegment("z1", (cx - r, cx + r), *arc(+1, "z1"), reverse=True)
-    left = GraphSegment("z2", (cy - r, cy + r), *arc(-1, "z2"), reverse=True)
-    bottom = GraphSegment("z1", (cx - r, cx + r), *arc(-1, "z1"))
+    right = arc("z2", cy, cx, +1)
+    top = arc("z1", cx, cy, +1, reverse=True)
+    left = arc("z2", cy, cx, -1, reverse=True)
+    bottom = arc("z1", cx, cy, -1)
     boundary = PiecewiseBoundary([right, top, left, bottom])
     inside = lambda q1, q2: (np.asarray(q1) - cx) ** 2 + (np.asarray(q2) - cy) ** 2 <= a * a  # noqa: E731
     return SubDomain(boundary, inside=inside)

@@ -37,7 +37,7 @@ from .cgo import PhaseParams, psi_at, solve_w, t_w_lambda
 from .dtn import BoundaryMesh, DtnMatrix
 from .errors import AmplificationExceeded, MeshMismatch, NonConvergence
 from .grid import ComplexField
-from .stationary import DEGENERACY_THRESHOLD, find_stationary
+from .stationary import find_stationary
 from .utils import bilinear_sample
 
 
@@ -177,12 +177,11 @@ class ErrorWeightMap:
     near_curve_mask: np.ndarray   # True inside the exclusion band around the curves
 
 
-def build_error_weight_map(xs, boundaries, exclusion_band: float,
-                           threshold: float = DEGENERACY_THRESHOLD) -> ErrorWeightMap:
+def build_error_weight_map(xs, boundaries, exclusion_band: float) -> ErrorWeightMap:
     """Stationary-phase conditioning map over probe points.
 
     A point is degenerate-masked when any segment of any boundary shows a
-    stationary point with |g''| below the threshold or is flat as a whole.
+    stationary point with |g''| below DEGENERACY_THRESHOLD or is flat as a whole.
     The weight surrogate mirrors the structure of the reconstruction error
     constant: sum over stationary points of |g''|^{-1/2}, scaled by the
     reciprocal distance to the curves (floored at half that distance).
@@ -191,15 +190,13 @@ def build_error_weight_map(xs, boundaries, exclusion_band: float,
     n = len(xs)
     weights = np.zeros(n)
     degenerate = np.zeros(n, dtype=bool)
-    near = np.zeros(n, dtype=bool)
+    dist = np.min([b.distance_to(xs) for b in boundaries], axis=0)
+    near = dist <= exclusion_band
     for i, x in enumerate(xs):
-        dist = min(float(b.distance_to(x[None, :])[0]) for b in boundaries)
-        if dist <= exclusion_band:
-            near[i] = True
         total = 0.0
         for b in boundaries:
             for seg in b.segments:
-                res = find_stationary(x, seg, degeneracy_threshold=threshold)
+                res = find_stationary(x, seg)
                 if res.whole_segment_flat:
                     degenerate[i] = True
                     continue
@@ -209,7 +206,7 @@ def build_error_weight_map(xs, boundaries, exclusion_band: float,
                     else:
                         total += 1.0 / np.sqrt(abs(pt.g2))
         # mask-radius default r2 = d(x, curves)/2 floors the amplitude weight
-        r2 = max(dist / 2.0, 1e-12)
+        r2 = max(dist[i] / 2.0, 1e-12)
         weights[i] = (1.0 + total) / r2
     weights[degenerate] = np.inf
     return ErrorWeightMap(xs=xs, weights=weights, degenerate_mask=degenerate,

@@ -59,10 +59,6 @@ class ScatterSolution:
     residual: float
     iterations: int          # GMRES iterations
 
-    def field(self) -> ComplexField:
-        n = self.grid.n_per_side
-        return ComplexField(self.grid, self.u.reshape(n, n))
-
 
 class _NystromSystem:
     """Nystrom operator I + G h^2 V applied by FFT, reused across theta."""
@@ -127,20 +123,16 @@ class _NystromSystem:
                                iterations=iterations)
 
 
-def solve_lippmann_schwinger(V: ComplexField, k: float, theta,
-                             system: _NystromSystem | None = None) -> ScatterSolution:
+def solve_lippmann_schwinger(V: ComplexField, k: float, theta) -> ScatterSolution:
     """Nystrom solution of the scattering integral equation for one direction."""
-    if system is None:
-        system = _NystromSystem(V, k)
-    return system.solve(theta)
+    return _NystromSystem(V, k).solve(theta)
 
 
 def far_field(V: ComplexField, k: float, eta, theta,
-              solution: ScatterSolution | None = None,
-              system: _NystromSystem | None = None) -> complex:
+              solution: ScatterSolution | None = None) -> complex:
     """Scattering amplitude A_V(eta, theta) by grid quadrature."""
     if solution is None:
-        solution = solve_lippmann_schwinger(V, k, theta, system=system)
+        solution = solve_lippmann_schwinger(V, k, theta)
     g = V.grid
     eta = np.asarray(eta, float)
     eta = eta / np.hypot(eta[0], eta[1])
@@ -159,19 +151,21 @@ class FarFieldData:
     samples: np.ndarray
     coeffs: np.ndarray
 
+    @staticmethod
+    def angle_grid(shape) -> tuple[int, int]:
+        """(n_eta, n_theta) of a sample or coefficient array; ValueError unless both
+        are powers of two >= 64."""
+        if len(shape) != 2 or any(n < 64 or (n & (n - 1)) != 0 for n in shape):
+            raise ValueError(f"angle grid {tuple(shape)} is not two powers of two >= 64")
+        return shape
+
     @classmethod
     def from_samples(cls, k, samples):
         samples = np.asarray(samples, dtype=complex)
-        n_eta, n_theta = samples.shape
-        for n in (n_eta, n_theta):
-            if n < 64 or (n & (n - 1)) != 0:
-                raise ValueError("angle grid sizes must be powers of two >= 64")
+        n_eta, n_theta = cls.angle_grid(samples.shape)
         coeffs = np.fft.fft2(samples) / (n_eta * n_theta)
         return cls(k=float(k), n_eta=n_eta, n_theta=n_theta,
                    samples=samples, coeffs=coeffs)
-
-    def coeff(self, n, m) -> complex:
-        return complex(self.coeffs[n % self.n_eta, m % self.n_theta])
 
     def consistency(self) -> float:
         """Max reconstruction error of samples from coeffs."""
@@ -225,9 +219,6 @@ def compute_far_field_data(V: ComplexField, k: float, n_eta: int = 64,
 class KNormResult:
     value: float
     tail: float      # plain l2 magnitude of unweighted coefficients beyond the cutoff
-
-    def __float__(self):
-        return self.value
 
 
 def k_norm(F: FarFieldData, cutoff: int = 32) -> KNormResult:

@@ -1,11 +1,13 @@
 """Stationary-point machinery for the hyperbolic phase restricted to curve graphs.
 
-For a graph z2 = f(z1) the restricted phase seen from x is
-g(t) = (x1 - t)^2 - (x2 - f(t))^2; for a graph z1 = f(z2) it is
-g(t) = (x1 - f(t))^2 - (x2 - t)^2.  Derivatives come from the chain rule
-using the segment's f', f''.  A stationary point is *degenerate* when |g''|
-falls below a configurable threshold; a whole segment can also be flat
-(g' == 0 identically), which is a distinguished outcome rather than an
+Everything here works in the segment's (parameter, value) frame
+(``GraphSegment.frame``), where every piece is a graph v = f(t).  With
+(u, v) the frame coordinates of x, the restricted phase of a graph z2 = f(z1)
+is g(t) = (u - t)^2 - (v - f(t))^2; a graph z1 = f(z2) gives the negative of
+that, since swapping the axes negates the phase.  Derivatives come from the
+chain rule using the segment's f', f''.  A stationary point is *degenerate*
+when |g''| falls below DEGENERACY_THRESHOLD; a whole segment can also be
+flat (g' == 0 identically), which is a distinguished outcome rather than an
 error: it is exactly the failure mode of the diagonal counterexample.
 """
 
@@ -16,12 +18,16 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from .errors import PerturbationTooLarge, ResolutionExceeded
 from .geometry import GraphSegment, SubDomain
 
 DEGENERACY_THRESHOLD = 0.05
-_LATTICE = 2048
+_LATTICE = 2048         # probe lattice on a segment for sign changes and near-tangency
+_ROOT_TOL = 1e-10       # |g'| at or below this is a stationary point (or a flat segment)
+_PTS_PER_OSC = 20       # quadrature points per oscillation of e^{i lam g}
+_MAX_QUAD_PTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -69,63 +75,31 @@ class DegenerateLocus:
 
 def phase_on_curve(x, seg: GraphSegment) -> FunctionBundle:
     """Bundle (g, g', g'') of the restricted phase along the segment."""
-    x1, x2 = float(x[0]), float(x[1])
+    u, v = seg.frame(float(x[0]), float(x[1]))
+    sign = 1.0 if seg.orientation == "z1" else -1.0
     f, df, d2f = seg.f, seg.df, seg.d2f
-    if seg.orientation == "z1":
-        def g(t):
-            t = np.asarray(t, float)
-            return (x1 - t) ** 2 - (x2 - f(t)) ** 2
 
-        def g1(t):
-            t = np.asarray(t, float)
-            return -2.0 * (x1 - t) + 2.0 * (x2 - f(t)) * df(t)
+    def g(t):
+        t = np.asarray(t, float)
+        return sign * ((u - t) ** 2 - (v - f(t)) ** 2)
 
-        def g2(t):
-            t = np.asarray(t, float)
-            return 2.0 - 2.0 * df(t) ** 2 + 2.0 * (x2 - f(t)) * d2f(t)
-    else:
-        def g(t):
-            t = np.asarray(t, float)
-            return (x1 - f(t)) ** 2 - (x2 - t) ** 2
+    def g1(t):
+        t = np.asarray(t, float)
+        return sign * (-2.0 * (u - t) + 2.0 * (v - f(t)) * df(t))
 
-        def g1(t):
-            t = np.asarray(t, float)
-            return -2.0 * (x1 - f(t)) * df(t) + 2.0 * (x2 - t)
-
-        def g2(t):
-            t = np.asarray(t, float)
-            return -2.0 * d2f(t) * (x1 - f(t)) + 2.0 * df(t) ** 2 - 2.0
+    def g2(t):
+        t = np.asarray(t, float)
+        return sign * (2.0 - 2.0 * df(t) ** 2 + 2.0 * (v - f(t)) * d2f(t))
 
     return FunctionBundle(g, g1, g2, seg.interval)
 
 
-def _bisect_then_newton(fun, dfun, lo, hi):
-    flo = fun(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-13 * max(1.0, abs(lo)):
-            break
-    root = 0.5 * (lo + hi)
-    for _ in range(2):  # two polishing steps, guarded by the bracket
-        d = dfun(root)
-        if d != 0:
-            cand = root - fun(root) / d
-            if lo <= cand <= hi:
-                root = cand
-    return root
-
-
-def _lattice_roots(fun, dfun, t, zero_tol: float, relative_merge: bool):
-    """Sorted roots of fun: one per sign change on the lattice t, plus lattice
-    points with |fun| <= zero_tol, merged when within 1e-9 (times max(1, |r|)
-    if ``relative_merge``), as a lattice zero also borders a sign change."""
+def _lattice_roots(fun, t, zero_tol: float, relative_merge: bool):
+    """Sorted roots of fun: one per sign change on the lattice t (Brent's method),
+    plus lattice points with |fun| <= zero_tol, merged when within 1e-9 (times
+    max(1, |r|) if ``relative_merge``), as a lattice zero also borders a sign change."""
     v = np.asarray(fun(t), float)
-    roots = [_bisect_then_newton(fun, dfun, t[k], t[k + 1])
+    roots = [brentq(fun, t[k], t[k + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
              for k in np.flatnonzero(v[:-1] * v[1:] < 0)]
     roots += [float(t[k]) for k in np.flatnonzero(np.abs(v) <= zero_tol)]
     merged = []
@@ -136,27 +110,25 @@ def _lattice_roots(fun, dfun, t, zero_tol: float, relative_merge: bool):
     return merged
 
 
-def find_stationary(x, seg: GraphSegment, tol: float = 1e-10,
-                    lattice: int = _LATTICE,
-                    degeneracy_threshold: float = DEGENERACY_THRESHOLD) -> StationaryResult:
-    """All roots of g' on the segment, classified by |g''| against the threshold.
+def find_stationary(x, seg: GraphSegment) -> StationaryResult:
+    """All roots of g' on the segment, classified by |g''| against DEGENERACY_THRESHOLD.
 
     Returns the distinguished whole-segment-flat flag when g' vanishes on the
     entire probe lattice (the diagonal-side failure mode).
     """
     bundle = phase_on_curve(x, seg)
-    t = np.linspace(seg.interval[0], seg.interval[1], lattice)
+    t = bundle.lattice()
     d = np.asarray(bundle.df(t))
-    if float(np.max(np.abs(d))) <= tol:
+    if float(np.max(np.abs(d))) <= _ROOT_TOL:
         return StationaryResult(points=(), whole_segment_flat=True)
 
     pts = []
-    for r in _lattice_roots(bundle.df, bundle.d2f, t, tol, relative_merge=True):
-        if abs(float(bundle.df(r))) > max(tol, 1e3 * tol):
+    for r in _lattice_roots(bundle.df, t, _ROOT_TOL, relative_merge=True):
+        if abs(float(bundle.df(r))) > 1e3 * _ROOT_TOL:
             continue
         g2v = float(bundle.d2f(r))
         loc = seg.point(r)
-        order = 1 if abs(g2v) >= degeneracy_threshold else "degenerate"
+        order = 1 if abs(g2v) >= DEGENERACY_THRESHOLD else "degenerate"
         pts.append(StationaryPoint(param=float(r), location=(float(loc[0]), float(loc[1])),
                                    g2=g2v, order=order))
     return StationaryResult(points=tuple(pts), whole_segment_flat=False)
@@ -179,17 +151,12 @@ def degenerate_locus(seg: GraphSegment, n_samples: int = 2048,
     curved = np.abs(d2) > delta
 
     tc, fc, d1c, d2c = t[curved], f[curved], d1[curved], d2[curved]
-    if seg.orientation == "z1":
-        x1 = tc + (d1c**3 - d1c) / d2c
-        x2 = fc + (d1c**2 - 1.0) / d2c
-    else:
-        x2 = tc + (d1c**3 - d1c) / d2c
-        x1 = fc + (d1c**2 - 1.0) / d2c
-    points = np.stack([x1, x2], axis=-1)
+    points = np.stack(seg.frame(tc + (d1c**3 - d1c) / d2c, fc + (d1c**2 - 1.0) / d2c),
+                      axis=-1)
 
     tf = t[~curved]
     d1f = d1[~curved]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         slopes = np.where(d1f != 0, 1.0 / d1f, np.inf)
     return DegenerateLocus(points=points, source_params=tc,
                            tangent_params=tf, tangent_slopes=slopes)
@@ -206,16 +173,15 @@ def stationarity_residuals(locus: DegenerateLocus, seg: GraphSegment):
 
 
 def tangent_set_area(seg: GraphSegment, slope: float, eps: float, omega: SubDomain,
-                     n_mc: int = 10**6, band: float = 0.01, seed: int = 0,
-                     n_tau: int = 2048) -> float:
+                     n_mc: int = 10**6, band: float = 0.01, seed: int = 0) -> float:
     """Monte Carlo area of the band-thickened union of near-tangent lines.
 
-    Lines through (t, f(t)) with the given slope, over parameters where
-    |f'(t) - slope| < eps; membership is point-to-line-family distance below
-    ``band``.
+    Lines through (t, f(t)) with the given slope in the segment's frame, over
+    parameters where |f'(t) - slope| < eps; membership is point-to-line-family
+    distance below ``band``.
     """
     a, b = seg.interval
-    t = np.linspace(a, b, n_tau)
+    t = np.linspace(a, b, _LATTICE)
     d1 = np.asarray(seg.df(t), float)
     sel = np.abs(d1 - slope) < eps
     if not np.any(sel):
@@ -241,28 +207,23 @@ def tangent_set_area(seg: GraphSegment, slope: float, eps: float, omega: SubDoma
         total += m
         if not in_om.any():
             continue
-        q1 = p1[in_om]
-        q2 = p2[in_om]
-        if seg.orientation == "z1":
-            resid = q2[:, None] - fsel[None, :] - slope * (q1[:, None] - tsel[None, :])
-        else:
-            resid = q1[:, None] - fsel[None, :] - slope * (q2[:, None] - tsel[None, :])
+        qt, qf = seg.frame(p1[in_om], p2[in_om])
+        resid = qf[:, None] - fsel[None, :] - slope * (qt[:, None] - tsel[None, :])
         dist = np.min(np.abs(resid), axis=1) / denom
         hits += int(np.count_nonzero(dist < band))
     return box_area * hits / total
 
 
-def osc_integral_1d(bundle: FunctionBundle, h: Callable, lam: float,
-                    pts_per_osc: int = 20, max_pts: int = 10**7) -> complex:
-    """Composite quadrature of int e^{i lam g} h with >= pts_per_osc points per oscillation."""
+def osc_integral_1d(bundle: FunctionBundle, h: Callable, lam: float) -> complex:
+    """Composite quadrature of int e^{i lam g} h with >= _PTS_PER_OSC points per oscillation."""
     a, b = bundle.interval
     t = bundle.lattice(4096)
     g = np.asarray(bundle.f(t), float)
     n_osc = lam * (float(g.max()) - float(g.min())) / (2 * np.pi)
-    n = int(max(pts_per_osc * n_osc, 200))
-    if n > max_pts:
+    n = int(max(_PTS_PER_OSC * n_osc, 200))
+    if n > _MAX_QUAD_PTS:
         raise ResolutionExceeded(
-            f"oscillatory quadrature needs {n} points (> {max_pts})"
+            f"oscillatory quadrature needs {n} points (> {_MAX_QUAD_PTS})"
         )
     n |= 1  # odd count for Simpson
     tt = np.linspace(a, b, n)
@@ -277,18 +238,17 @@ class RootMatching:
     c1_distance: float      # measured ||f-g||_{C^1} on the lattice
 
 
-def track_roots(fbundle: FunctionBundle, gbundle: FunctionBundle, eps: float,
-                lattice: int = _LATTICE) -> RootMatching:
+def track_roots(fbundle: FunctionBundle, gbundle: FunctionBundle, eps: float) -> RootMatching:
     """Pair simple roots of f with nearby roots of g under a small C^1 perturbation.
 
     The admissible perturbation size is delta = min(a/2, eta/4, eps*eta/4)
     with eta the smallest |f'| over the roots and a the smallest |f| outside
     the safety balls; if ||f - g||_{C^1} >= delta the pairing is refused.
     """
-    roots_f = _lattice_roots(fbundle.f, fbundle.df, fbundle.lattice(), 0.0, relative_merge=False)
+    t = fbundle.lattice()
+    roots_f = _lattice_roots(fbundle.f, t, 0.0, relative_merge=False)
     if not roots_f:
         return RootMatching(pairs=(), delta=np.inf, c1_distance=0.0)
-    t = fbundle.lattice(lattice)
     fv = np.asarray(fbundle.f(t), float)
     fd = np.asarray(fbundle.df(t), float)
     gv = np.asarray(gbundle.f(t), float)
@@ -308,7 +268,7 @@ def track_roots(fbundle: FunctionBundle, gbundle: FunctionBundle, eps: float,
         while lo > 0 and near[lo - 1]:
             lo -= 1
         hi = idx
-        while hi < lattice - 1 and near[hi + 1]:
+        while hi < len(t) - 1 and near[hi + 1]:
             hi += 1
         radii.append(min(r - t[lo], t[hi] - r))
     # any radius with |f'| > eta/2 on the balls works; take half the maximal
@@ -327,7 +287,7 @@ def track_roots(fbundle: FunctionBundle, gbundle: FunctionBundle, eps: float,
             f"||f-g||_C1 = {c1:.3e} >= admissible delta = {delta:.3e}"
         )
 
-    roots_g = _lattice_roots(gbundle.f, gbundle.df, gbundle.lattice(), 0.0, relative_merge=False)
+    roots_g = _lattice_roots(gbundle.f, gbundle.lattice(), 0.0, relative_merge=False)
     pairs = []
     for rf in roots_f:
         close = [rg for rg in roots_g if abs(rg - rf) < eps]

@@ -8,11 +8,11 @@ import pytest
 
 from cgoplane.cli import main as cli_main
 from cgoplane.errors import BlobFormatError, ConfigError
-from cgoplane.experiments import (ExperimentConfig, _save_far_field, load_far_field,
+from cgoplane.experiments import (_FF_MAGIC, ExperimentConfig, _save_far_field, load_far_field,
                                   run_counterexample, run_lemma_checks,
                                   run_scatter, run_stability, schedule_lambda)
 from cgoplane.scattering import FarFieldData
-from cgoplane.utils import write_json
+from cgoplane.utils import write_blob, write_json
 
 
 class TestConfig:
@@ -149,6 +149,13 @@ class TestScatterRunner:
         assert (back.k, back.n_eta, back.n_theta) == (4.0, 64, 128)
         assert np.array_equal(back.coeffs, data.coeffs)
         path.write_bytes(b"DTNBLOB1" + path.read_bytes()[8:])
+        with pytest.raises(BlobFormatError):
+            load_far_field(path)
+
+    @pytest.mark.parametrize("shape", [(128,), (3, 64, 64), (32, 32), (64, 96)])
+    def test_far_field_blob_off_the_angle_grid_refused(self, tmp_path, shape):
+        path = tmp_path / "f.ffd"
+        write_blob(path, _FF_MAGIC, {"k": 4.0}, np.ones(shape, dtype=complex))
         with pytest.raises(BlobFormatError):
             load_far_field(path)
 

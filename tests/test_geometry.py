@@ -34,6 +34,10 @@ class TestGraphSegment:
         seg = GraphSegment.from_polynomial("z2", (0.0, 1.0), [2.0])
         p = seg.point(0.5)
         assert np.allclose(p, [2.0, 0.5])
+        assert seg.frame(*p) == (0.5, 2.0)
+        assert seg.frame(*seg.frame(1.0, 3.0)) == (1.0, 3.0)
+        z1_seg = GraphSegment.from_polynomial("z1", (0.0, 1.0), [2.0])
+        assert z1_seg.frame(1.0, 3.0) == (1.0, 3.0)
 
 
 class TestBoundary:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgoplane.errors import PerturbationTooLarge, ResolutionExceeded
 from cgoplane.geometry import GraphSegment, make_disk, make_rhombus
@@ -53,6 +54,31 @@ class TestPhaseOnCurve:
         # derivative consistency by finite differences
         d = 1e-6
         assert np.isclose(b.df(t), (b.f(t + d) - b.f(t - d)) / (2 * d), atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4),
+       a=st.floats(-1.0, 0.5), length=st.floats(0.2, 1.5),
+       x=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+def test_z2_graph_is_the_mirrored_z1_graph(coeffs, a, length, x):
+    """z1 = f(z2) seen from (x1, x2) is z2 = f(z1) seen from (x2, x1), with the phase negated."""
+    interval = (a, a + length)
+    seg2 = GraphSegment.from_polynomial("z2", interval, coeffs)
+    seg1 = GraphSegment.from_polynomial("z1", interval, coeffs)
+    res2 = find_stationary(x, seg2)
+    res1 = find_stationary(x[::-1], seg1)
+    assert res2.whole_segment_flat == res1.whole_segment_flat
+    assert [p.order for p in res2.points] == [p.order for p in res1.points]
+    np.testing.assert_allclose([p.param for p in res2.points],
+                               [p.param for p in res1.points], rtol=0, atol=1e-12)
+    np.testing.assert_allclose([p.g2 for p in res2.points],
+                               [-p.g2 for p in res1.points], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose([p.location[::-1] for p in res2.points],
+                               [p.location for p in res1.points], rtol=0, atol=1e-12)
+    loc2, loc1 = degenerate_locus(seg2, 256), degenerate_locus(seg1, 256)
+    np.testing.assert_array_equal(loc2.source_params, loc1.source_params)
+    np.testing.assert_allclose(loc2.points[:, ::-1], loc1.points, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(loc2.tangent_slopes, loc1.tangent_slopes)
 
 
 class TestFindStationary:
