@@ -23,7 +23,12 @@ The correction field w = w_{lambda,x} solves the fixed-point equation
     w = (1/4) * dzbar_inv[ e^{-i lam phi} * dz_inv[ e^{+i lam phi} * V (1 + w) ] ],
 
 iterated by plain Picard; failure to contract signals that lambda is below
-the contraction threshold for the given potential.
+the contraction threshold for the given potential.  One S1 pass works on two
+arrays it allocates itself: each forward/inverse FFT pair transforms its work
+array in place (``overwrite_x``), and the multipliers and phases are applied
+with in-place products whose output is their first operand, so every value is
+bit-identical to the out-of-place composition of phase_mul, dz_inv and
+dzbar_inv.  Inputs are never written to.
 """
 
 from __future__ import annotations
@@ -79,7 +84,9 @@ def _dzbar_symbol(grid):
 
 
 def _apply_multiplier(F: ComplexField, mult) -> ComplexField:
-    return ComplexField(F.grid, ifft2(fft2(F.values) * mult))
+    a = fft2(F.values)
+    a *= mult
+    return ComplexField(F.grid, ifft2(a, overwrite_x=True))
 
 
 def dz(F: ComplexField) -> ComplexField:
@@ -147,6 +154,17 @@ def _phase(grid: FourierGrid, p: PhaseParams) -> np.ndarray:
     return phase
 
 
+def _warn_if_under_resolved(grid: FourierGrid, lam: float) -> None:
+    """RuntimeWarning, pointed at the caller's caller, when resolution_ok fails."""
+    if not resolution_ok(grid, lam):
+        warnings.warn(
+            f"lam*side^2/n^2 = {lam * grid.side_len**2 / grid.n_per_side**2:.3g} "
+            "> 1/4: oscillatory factor under-resolved on this grid",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
     """Multiply by e^{sign * i * lam * phi_x}; |result| = |F| pointwise.
 
@@ -155,13 +173,7 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not resolution_ok(F.grid, p.lam):
-        warnings.warn(
-            f"lam*side^2/n^2 = {p.lam * F.grid.side_len**2 / F.grid.n_per_side**2:.3g} "
-            "> 1/4: oscillatory factor under-resolved on this grid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    _warn_if_under_resolved(F.grid, p.lam)
     phase = _phase(F.grid, p)
     return ComplexField(F.grid, (phase if sign > 0 else phase.conj()) * F.values)
 
@@ -169,13 +181,28 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
 def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> ComplexField:
     """One pass of the smoothing operator behind the correction-field equation.
 
-    Equals (1/4) dzbar_inv[e^{-i lam phi} dz_inv[e^{+i lam phi} F]].  The
-    outer inverse acts on a field that fills the square by construction, so
-    only the inner inverse checks the support of F.
+    Equals (1/4) dzbar_inv[e^{-i lam phi} dz_inv[e^{+i lam phi} F]] bit for bit,
+    computed on two new arrays: F is never written to, and each FFT transforms
+    its work array in place.  The outer inverse acts on a field that fills the
+    square by construction, so only F's support is checked.  Warns like
+    phase_mul when lam is under-resolved on the grid.
     """
-    inner = dz_inv(phase_mul(F, p, +1), check_support=check_support)
-    outer = dzbar_inv(phase_mul(inner, p, -1), check_support=False)
-    return ComplexField(outer.grid, 0.25 * outer.values)
+    g = F.grid
+    if check_support:
+        check_padding_support(F, SUPPORT_TOL)
+    _warn_if_under_resolved(g, p.lam)
+    phase = _phase(g, p)
+    a = phase * F.values
+    a = fft2(a, overwrite_x=True)
+    a *= _inverse_multiplier(g, _dz_symbol)
+    a = ifft2(a, overwrite_x=True)
+    b = np.conj(phase)
+    b *= a
+    b = fft2(b, overwrite_x=True)
+    b *= _inverse_multiplier(g, _dzbar_symbol)
+    b = ifft2(b, overwrite_x=True)
+    b *= 0.25
+    return ComplexField(g, b)
 
 
 def s1_adjoint(F: ComplexField, p: PhaseParams) -> ComplexField:
@@ -183,11 +210,21 @@ def s1_adjoint(F: ComplexField, p: PhaseParams) -> ComplexField:
 
     Equals (1/4) e^{-i lam phi} dzbar_inv[e^{+i lam phi} dz_inv[F]]: on the
     lattice conj(1/sigma_z) = -1/sigma_zbar, so the adjoint of each inverse is
-    minus the other one and the two signs cancel.
+    minus the other one and the two signs cancel.  Computed like s1_apply, on
+    two new arrays with in-place transforms.
     """
-    inner = phase_mul(dz_inv(F, check_support=False), p, +1)
-    outer = phase_mul(dzbar_inv(inner, check_support=False), p, -1)
-    return ComplexField(outer.grid, 0.25 * outer.values)
+    g = F.grid
+    _warn_if_under_resolved(g, p.lam)
+    phase = _phase(g, p)
+    a = dz_inv(F, check_support=False).values
+    b = phase * a
+    b = fft2(b, overwrite_x=True)
+    b *= _inverse_multiplier(g, _dzbar_symbol)
+    b = ifft2(b, overwrite_x=True)
+    np.conjugate(phase, out=a)
+    a *= b
+    a *= 0.25
+    return ComplexField(g, a)
 
 
 def solve_w(
@@ -206,15 +243,23 @@ def solve_w(
     """
     if check_support:
         check_padding_support(V, SUPPORT_TOL, what="potential")
-    w = ComplexField.zeros(V.grid)
+    g = V.grid
+    w = np.zeros((g.n_per_side, g.n_per_side), dtype=np.complex128)
     prev_step = np.inf
     grow = 0
     for _ in range(max_iter):
-        w_next = s1_apply(V * (1 + w), p, check_support=False)
-        step = (w_next - w).l2_norm()
-        w = w_next
+        # V (1 + w) in u's memory; V stays the left operand, since complex
+        # products are not bit-for-bit commutative
+        u = w + 1
+        np.multiply(V.values, u, out=u)
+        w_next = s1_apply(ComplexField(g, u), p, check_support=False)
+        # the old iterate is not needed again: its memory takes w - w_next,
+        # whose norm is the step's
+        w -= w_next.values
+        step = float(g.h * np.linalg.norm(w))
+        w = w_next.values
         if step <= tol:
-            return w
+            return w_next
         if step >= prev_step:
             grow += 1
             if grow >= 3:

@@ -23,12 +23,14 @@ def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
 
 
-def fft2(a):
-    return _sfft.fft2(a, workers=_FFT_WORKERS)
+def fft2(a, overwrite_x=False):
+    """2-D FFT; with overwrite_x=True a complex128 input is transformed in its own memory."""
+    return _sfft.fft2(a, workers=_FFT_WORKERS, overwrite_x=overwrite_x)
 
 
-def ifft2(a):
-    return _sfft.ifft2(a, workers=_FFT_WORKERS)
+def ifft2(a, overwrite_x=False):
+    """2-D inverse FFT; overwrite_x as for fft2."""
+    return _sfft.ifft2(a, workers=_FFT_WORKERS, overwrite_x=overwrite_x)
 
 
 class FourierGrid:

@@ -91,7 +91,11 @@ class _NystromSystem:
         u = u.reshape(n, n)
         pad = np.zeros((2 * n, 2 * n), dtype=complex)
         pad[:n, :n] = self.v * u
-        conv = ifft2(self._kern_hat * fft2(pad))[:n, :n]
+        # all in pad's memory, spectrum * kernel in that order: complex products
+        # are not bit-for-bit commutative
+        spec = fft2(pad, overwrite_x=True)
+        spec *= self._kern_hat
+        conv = ifft2(spec, overwrite_x=True)[:n, :n]
         return (u + conv).ravel()
 
     def solve_to(self, b, rtol):

@@ -134,6 +134,26 @@ class TestPhaseMul:
         out = cgo.s1_apply(ComplexField.zeros(grid128), p)
         assert out.max_abs() == 0.0
 
+    def test_s1_is_the_phase_mul_composition_bit_for_bit(self, grid128, rng):
+        F = supported_noise(grid128, rng)
+        p = PhaseParams(64.0, (0.1, -0.05))
+        s1 = 0.25 * cgo.dzbar_inv(cgo.phase_mul(cgo.dz_inv(cgo.phase_mul(F, p, +1)), p, -1),
+                                  check_support=False)
+        adj = 0.25 * cgo.phase_mul(cgo.dzbar_inv(cgo.phase_mul(
+            cgo.dz_inv(F, check_support=False), p, +1), check_support=False), p, -1)
+        assert np.array_equal(cgo.s1_apply(F, p).values, s1.values)
+        assert np.array_equal(cgo.s1_adjoint(F, p).values, adj.values)
+
+    @pytest.mark.parametrize("op", ["s1_apply", "s1_adjoint", "dz_inv", "dzbar_inv", "solve_w"])
+    def test_operators_leave_their_input_unchanged(self, grid128, rng, op):
+        # the operators transform work arrays in place; the caller's array is not one
+        F = gaussian_bump(grid128, amp=0.5) * supported_noise(grid128, rng)
+        before = F.values.copy()
+        p = PhaseParams(64.0, (0.1, -0.05))
+        args = (F,) if op in ("dz_inv", "dzbar_inv") else (F, p)
+        getattr(cgo, op)(*args)
+        assert np.array_equal(F.values, before)
+
 
 class TestSolveW:
     def test_zero_potential_gives_zero(self, grid128):
@@ -158,6 +178,12 @@ class TestSolveW:
             norms.append(cgo.hs_norm(w, 0.5))
         assert norms[-1] < norms[0]
         assert fit_loglog_slope(lams, norms) <= -0.25
+
+    def test_under_resolved_lambda_warns(self, grid128):
+        # lam * side^2 / n^2 = 400 * 16 / 128^2 > 1/4
+        V = gaussian_bump(grid128, amp=0.5)
+        with pytest.warns(RuntimeWarning, match="under-resolved"):
+            cgo.solve_w(V, PhaseParams(400.0, (0.0, 0.0)))
 
     def test_nonconvergence_reported(self, grid128):
         # huge potential at small lambda: the iteration cannot contract
@@ -223,6 +249,22 @@ def _s1_uncached(F, p):
         m[:, nyq] = 0.0
     inner = ifft2(fft2(phase * F.values) * m_z)
     return 0.25 * ifft2(fft2(np.conj(phase) * inner) * m_zbar)
+
+
+def test_solve_w_is_the_field_picard_loop_bit_for_bit(grid128):
+    # a complex, non-constant V: products with it round differently if the
+    # operands of V (1 + w) are swapped
+    V = (0.7 - 0.4j) * gaussian_bump(grid128, sigma=0.1, center=(0.05, 0.0)) \
+        + 0.3j * gaussian_bump(grid128, sigma=0.07, center=(0.0, 0.1))
+    p = PhaseParams(64.0, (0.02, -0.03))
+    w = ComplexField.zeros(grid128)
+    for _ in range(50):
+        w_next = ComplexField(grid128, _s1_uncached(V * (1 + w), p))
+        step = (w_next - w).l2_norm()
+        w = w_next
+        if step <= 1e-8:
+            break
+    assert np.array_equal(cgo.solve_w(V, p).values, w.values)
 
 
 class TestCaches:

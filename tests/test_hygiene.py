@@ -99,3 +99,65 @@ def test_detector_sees_global_caches():
 def test_no_unbounded_global_cache(path):
     # a module-level dict that calls fill grows for the life of the process
     assert global_caches(path.read_text()) == []
+
+
+TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+
+
+def overwritten_inputs(source: str) -> list[int]:
+    """Lines of overwrite_x=True transforms whose array may belong to a caller.
+
+    Allowed: an arithmetic expression or another transform (both make a new
+    array), or a name local to the function that is never bound to a bare
+    name, attribute or subscript (an alias).  Everything else is flagged: a
+    parameter, an attribute such as ``F.values``, a slice, any other call.
+    """
+    lines = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+        params |= {arg.arg for arg in (a.vararg, a.kwarg) if arg is not None}
+        aliases = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                   and isinstance(node.value, (ast.Name, ast.Attribute, ast.Subscript))
+                   for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and any(
+                    k.arg == "overwrite_x" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True for k in node.keywords)):
+                continue
+            x = node.args[0] if node.args else None
+            fresh = isinstance(x, (ast.BinOp, ast.UnaryOp)) or (
+                isinstance(x, ast.Call)
+                and getattr(x.func, "attr", getattr(x.func, "id", None)) in TRANSFORMS)
+            local = isinstance(x, ast.Name) and x.id not in params | aliases
+            if not (fresh or local):
+                lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_detector_sees_transforms_of_caller_arrays():
+    src = ("def f(F, u, phase, mult):\n"
+           "    a = phase * F.values\n"
+           "    a = fft2(a, overwrite_x=True)\n"                 # local: ok
+           "    b = ifft2(mult * a, overwrite_x=True)\n"         # fresh product: ok
+           "    c = fft2(ifft2(b, overwrite_x=True), overwrite_x=True)\n"  # ok
+           "    fft2(F.values, overwrite_x=True)\n"              # attribute: 6
+           "    fft2(u, overwrite_x=True)\n"                     # parameter: 7
+           "    u = u.reshape(4, 4)\n"
+           "    fft2(u, overwrite_x=True)\n"                     # rebound parameter: 9
+           "    d = F.values\n"
+           "    fft2(d, overwrite_x=True)\n"                     # alias: 11
+           "    fft2(a[:2], overwrite_x=True)\n"                 # slice: 12
+           "    fft2(u, overwrite_x=False)\n"
+           "    fft2(F.values)\n"
+           "    sfft.fft2(np.asarray(u), overwrite_x=True)\n"    # other call: 15
+           "    return a, b, c\n")
+    assert overwritten_inputs(src) == [6, 7, 9, 11, 12, 15]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_in_place_transforms_own_their_array(path):
+    # an in-place FFT of a caller's array would silently change the caller's data
+    assert overwritten_inputs(path.read_text()) == []
