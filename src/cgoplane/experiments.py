@@ -709,7 +709,7 @@ def scatter_defaults() -> dict:
         "sigma": 0.25,
         "epsilons": [0.2, 0.1],
         "n_angles": 128,
-        "cutoff": 32,
+        "cutoff": 10,
     }
 
 

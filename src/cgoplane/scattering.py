@@ -17,7 +17,15 @@ e^{ik x.theta_j} = sum_m B_m(x) e^{2 pi i m j / n} exactly, and B_m is the
 Jacobi-Anger term i^m J_m(k|x|) e^{-im phi} up to aliasing (Colton & Kress,
 Inverse Acoustic and Electromagnetic Scattering Theory).  Only the modes
 above the roundoff budget are solved; their solutions are the total fields
-of the Fourier-Bessel incident waves that the T-matrix is built from.
+of the Fourier-Bessel incident waves that the T-matrix is built from.  Every
+direction's true residual is still checked against a freshly computed
+incident wave.  A is linear, so A u_j = (A X) E_j: the kept solutions X are
+replaced in place by A X, one matvec per kept mode instead of one per
+direction, and each direction then costs one matrix-vector product.
+
+Plane waves are never exponentiated on the whole grid: e^{ik x.d} =
+e^{ik z1 d1} e^{ik z2 d2} is the outer product of two 1-D factors
+(``plane_waves``), for the incident waves, the receivers and the residuals.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ _EULER_GAMMA = 0.5772156649015328606
 _GMRES_TOL = 1e-13      # relative residual ||A u - inc|| / ||inc|| every solve must reach
 _GMRES_RESTART = 30
 _GMRES_MAXITER = 10     # restart cycles: at most 300 iterations per solve
+_RECEIVER_BLOCK = 16    # far-field receiver rows formed and multiplied per GEMM
 
 
 def green0(dist, k):
@@ -46,6 +55,19 @@ def green0(dist, k):
     x = d * k
     val = 0.25j * (special.j0(x) + 1j * special.y0(x))
     return complex(val) if scalar and val.shape == () else val
+
+
+def plane_waves(grid: FourierGrid, k: float, dirs) -> np.ndarray:
+    """e^{ik x.d} at the nodes in grid order (index i2*n + i1), one column per direction.
+
+    dirs is one direction of shape (2,) or a stack of shape (J, 2); the result has shape
+    (n^2,) or (n^2, J).  The phase separates, e^{ik x.d} = e^{ik z2 d2} e^{ik z1 d1}, so
+    each direction costs two exps of n values and an outer product, not an exp of n^2.
+    """
+    d = np.asarray(dirs, float)
+    e1 = np.exp(1j * k * np.multiply.outer(grid.z1, d[..., 0]))
+    e2 = np.exp(1j * k * np.multiply.outer(grid.z2, d[..., 1]))
+    return (e2[:, None] * e1[None, :]).reshape((grid.n_per_side**2,) + d.shape[:-1])
 
 
 @dataclass
@@ -68,7 +90,6 @@ class _NystromSystem:
         n = g.n_per_side
         self.grid = g
         self.k = float(k)
-        self.pts = np.stack([g.Z1.ravel(), g.Z2.ravel()], axis=-1)
         self.v = V.values
         h = g.h
 
@@ -109,9 +130,11 @@ class _NystromSystem:
                      callback_type="pr_norm")
         return u, len(steps)
 
-    def checked_residual(self, u, inc, iterations) -> float:
-        """True relative residual ||A u - inc|| / ||inc||; NearSingular above _GMRES_TOL."""
-        res = float(np.linalg.norm(self._apply(u) - inc) / np.linalg.norm(inc))
+    @staticmethod
+    def checked_residual(Au, inc, iterations) -> float:
+        """True relative residual ||A u - inc|| / ||inc|| from the product A u; NearSingular
+        above _GMRES_TOL."""
+        res = float(np.linalg.norm(Au - inc) / np.linalg.norm(inc))
         if not res <= _GMRES_TOL:
             raise NearSingular(f"GMRES left relative residual {res:.2e} > {_GMRES_TOL:.0e} "
                                f"after {iterations} iterations; k^2 is near a resonance")
@@ -120,10 +143,10 @@ class _NystromSystem:
     def solve(self, theta) -> ScatterSolution:
         theta = np.asarray(theta, float)
         theta = theta / np.hypot(theta[0], theta[1])
-        inc = np.exp(1j * self.k * (self.pts @ theta))
+        inc = plane_waves(self.grid, self.k, theta)
         u, iterations = self.solve_to(inc, _GMRES_TOL)
         return ScatterSolution(grid=self.grid, k=self.k, theta=theta, u=u,
-                               residual=self.checked_residual(u, inc, iterations),
+                               residual=self.checked_residual(self._apply(u), inc, iterations),
                                iterations=iterations)
 
 
@@ -140,8 +163,7 @@ def far_field(V: ComplexField, k: float, eta, theta,
     g = V.grid
     eta = np.asarray(eta, float)
     eta = eta / np.hypot(eta[0], eta[1])
-    pts = np.stack([g.Z1.ravel(), g.Z2.ravel()], axis=-1)
-    phase = np.exp(-1j * k * (pts @ eta))
+    phase = plane_waves(g, k, -eta)
     return complex(g.h**2 * np.sum(phase * V.values.ravel() * solution.u))
 
 
@@ -184,38 +206,44 @@ def compute_far_field_data(V: ComplexField, k: float, n_eta: int = 64,
     The DFT over the equispaced directions writes inc_j = sum_m B_m e^{2 pi i m j / n_theta}
     exactly.  Modes whose norms sum to at most tol/2 * ||inc|| are dropped, and the rest are
     solved to a common relative tolerance whose residuals sum to at most tol/2 * ||inc||, so
-    every direction's residual stays under tol = _GMRES_TOL; each is checked all the same.
+    every direction's residual stays under tol = _GMRES_TOL; each is checked all the same,
+    as ||(A X) E_j - inc_j|| / ||inc_j|| from one matvec per kept mode.
     """
+    grid = V.grid
     system = _NystromSystem(V, k)
-    pts = system.pts
     thetas = 2 * np.pi * np.arange(n_theta) / n_theta
     dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
     # incident waves as columns, transformed in place into the modes B_m
-    modes = np.zeros((len(pts), n_theta), dtype=complex)
-    np.matmul(pts, k * dirs.T, out=modes.imag)
-    np.exp(modes, out=modes)
+    modes = plane_waves(grid, k, dirs)
     modes = sfft.fft(modes, axis=1, norm="forward", overwrite_x=True)
     mode_norm = np.linalg.norm(modes, axis=0)
-    budget = 0.5 * _GMRES_TOL * np.sqrt(len(pts))
+    budget = 0.5 * _GMRES_TOL * np.sqrt(len(modes))
     order = np.argsort(mode_norm)
     keep = np.sort(order[np.cumsum(mode_norm[order]) > budget])
     rtol = budget / np.sum(mode_norm[keep])
-    X = np.empty((len(pts), len(keep)), dtype=complex)
+    X = np.empty((len(modes), len(keep)), dtype=complex)
     iterations = 0
     for col, m in enumerate(keep):
         X[:, col], its = system.solve_to(modes[:, m], rtol)
         iterations = max(iterations, its)
     del modes
+
+    weights = grid.h**2 * V.values.ravel()
+    etas = 2 * np.pi * np.arange(n_eta) / n_eta
+    receivers = -np.stack([np.cos(etas), np.sin(etas)], axis=-1)
+    RX = np.empty((n_eta, len(keep)), dtype=complex)
+    for i in range(0, n_eta, _RECEIVER_BLOCK):
+        rows = plane_waves(grid, k, receivers[i:i + _RECEIVER_BLOCK]).T
+        rows *= weights
+        RX[i:i + _RECEIVER_BLOCK] = rows @ X
+
     # exact DFT phases: the integer product m*j is reduced before it becomes an angle
     E = np.exp(2j * np.pi * (np.outer(keep, np.arange(n_theta)) % n_theta) / n_theta)
+    # A is linear, so A u_j = (A X) E_j: X becomes A X in place, one matvec per kept mode
+    for col in range(len(keep)):
+        X[:, col] = system._apply(X[:, col])
     for j, d in enumerate(dirs):
-        system.checked_residual(X @ E[:, j], np.exp(1j * k * (pts @ d)), iterations)
-
-    weights = V.grid.h**2 * V.values.ravel()
-    etas = 2 * np.pi * np.arange(n_eta) / n_eta
-    RX = np.empty((n_eta, len(keep)), dtype=complex)
-    for i, eta in enumerate(etas):
-        RX[i] = (np.exp(-1j * k * (pts @ (np.cos(eta), np.sin(eta)))) * weights) @ X
+        system.checked_residual(X @ E[:, j], plane_waves(grid, k, d), iterations)
     return FarFieldData.from_samples(k, RX @ E)
 
 
@@ -225,11 +253,13 @@ class KNormResult:
     tail: float      # plain l2 magnitude of unweighted coefficients beyond the cutoff
 
 
-def k_norm(F: FarFieldData, cutoff: int = 32) -> KNormResult:
+def k_norm(F: FarFieldData, cutoff: int = 10) -> KNormResult:
     """Severity-weighted coefficient norm with weights ((3+3|n|)/k)^{2|n|}.
 
     Truncated at |n|, |m| <= cutoff; the discarded coefficients are reported
-    unweighted as the tail.
+    unweighted as the tail.  At the default cutoff the weights stay below 2.2e18 at
+    k = 4, so the coefficients' roundoff floor (about 5e-19) stays far below the value;
+    at cutoff 32 they reach 1.5e89 and roundoff sets the value.
     """
     nyq_eta = F.n_eta // 2 - 1
     nyq_theta = F.n_theta // 2 - 1

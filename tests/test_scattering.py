@@ -11,7 +11,7 @@ from cgoplane import scattering
 from cgoplane.errors import CutoffExceedsNyquist, DomainError, NearSingular
 from cgoplane.grid import ComplexField, FourierGrid
 from cgoplane.scattering import (FarFieldData, compute_far_field_data, far_field,
-                                 green0, k_norm, solve_lippmann_schwinger)
+                                 green0, k_norm, plane_waves, solve_lippmann_schwinger)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -223,11 +223,84 @@ class TestFarFieldModes:
         assert 0 < len(calls) < self.N_THETA
 
     def test_gmres_short_of_tolerance_raises(self, complex_bump, monkeypatch):
-        # every direction keeps its own true-residual check
+        # every direction's true residual is checked, as (A X) E_j - inc_j from the
+        # kept modes' products A X_m and a freshly computed incident wave
         monkeypatch.setattr(scattering, "gmres", lambda A, b, **kw: (0.5 * b, 0))
         with pytest.raises(NearSingular, match="residual"):
             compute_far_field_data(complex_bump, self.K, n_eta=self.N_ETA,
                                    n_theta=self.N_THETA)
+
+    def test_one_matvec_per_kept_mode(self, complex_bump, monkeypatch):
+        # outside GMRES, the residual check applies A once per kept mode (one GMRES call
+        # each), not once per direction
+        inside, outside, solves = [], [], []
+        apply = scattering._NystromSystem._apply
+
+        def counted_apply(self, u):
+            (inside if solves and solves[-1] else outside).append(1)
+            return apply(self, u)
+
+        def counted_gmres(*args, **kwargs):
+            solves.append(True)
+            try:
+                return gmres(*args, **kwargs)
+            finally:
+                solves[-1] = False
+
+        monkeypatch.setattr(scattering._NystromSystem, "_apply", counted_apply)
+        monkeypatch.setattr(scattering, "gmres", counted_gmres)
+        compute_far_field_data(complex_bump, self.K, n_eta=self.N_ETA, n_theta=self.N_THETA)
+        assert inside and 0 < len(solves) < self.N_THETA
+        assert len(outside) == len(solves)
+
+    def test_one_mode_slightly_off_raises(self, complex_bump, monkeypatch):
+        # the first kept mode (m = 0) comes back 1e-10 off relative; the others are
+        # GMRES's own solves
+        rng = np.random.default_rng(3)
+        calls = []
+
+        def one_off(A, b, **kwargs):
+            u, info = gmres(A, b, **kwargs)
+            if not calls:
+                noise = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+                u = u + 1e-10 * np.linalg.norm(u) * noise / np.linalg.norm(noise)
+            calls.append(1)
+            return u, info
+
+        monkeypatch.setattr(scattering, "gmres", one_off)
+        with pytest.raises(NearSingular, match="residual"):
+            compute_far_field_data(complex_bump, self.K, n_eta=self.N_ETA,
+                                   n_theta=self.N_THETA)
+        assert len(calls) > 1
+
+
+class TestPlaneWaves:
+    GRID = FourierGrid(64, 2.2)
+    K = 4.0
+
+    def _check(self, angle):
+        g = self.GRID
+        d = np.array([np.cos(angle), np.sin(angle)])
+        pts = np.stack([g.Z1.ravel(), g.Z2.ravel()], axis=-1)
+        got = plane_waves(g, self.K, d)
+        assert got.shape == (g.n_per_side**2,)
+        assert np.max(np.abs(got - np.exp(1j * self.K * (pts @ d)))) <= 1e-15
+        # grid order: index i2*n + i1 holds the node (z1[i1], z2[i2])
+        n = g.n_per_side
+        for i1, i2 in [(0, 0), (5, 0), (0, 5), (n - 1, 3), (17, n - 1)]:
+            want = np.exp(1j * self.K * (g.z1[i1] * d[0] + g.z2[i2] * d[1]))
+            assert abs(got[i2 * n + i1] - want) <= 1e-15
+
+    @pytest.mark.parametrize("angle", [0.0, np.pi / 2, 3 * np.pi / 4])
+    def test_against_full_exponential(self, angle):
+        self._check(angle)
+
+    # derandomized: np.exp of the summed phase rounds too, by up to 9.3e-16 against an
+    # extended-precision phase, so about 1 in 2000 random angles differs by just over 1e-15
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(angle=st.floats(0.0, 2 * np.pi))
+    def test_against_full_exponential_drawn(self, angle):
+        self._check(angle)
 
 
 @settings(max_examples=20, deadline=None)
@@ -298,6 +371,22 @@ class TestKNorm:
         res = k_norm(data, cutoff=16)
         inside = np.sqrt(np.sum(np.abs(data.coeffs) ** 2)) - res.tail
         assert res.value >= inside * 0.999
+
+    def test_default_cutoff_is_above_roundoff(self, scatter_grid):
+        # at the default cutoff, the per-mode dataset and one solved direction by
+        # direction give the same weighted norm; at cutoff 32 roundoff set it
+        k, n_ang = 4.0, 128
+        V = bump_field(scatter_grid, 0.2)
+        per_mode = compute_far_field_data(V, k, n_eta=n_ang, n_theta=n_ang)
+        ang = 2 * np.pi * np.arange(n_ang) / n_ang
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        samples = np.empty((n_ang, n_ang), dtype=complex)
+        for j, theta in enumerate(dirs):
+            sol = solve_lippmann_schwinger(V, k, theta)
+            for i, eta in enumerate(dirs):
+                samples[i, j] = far_field(V, k, eta, theta, solution=sol)
+        want = k_norm(FarFieldData.from_samples(k, samples)).value
+        assert abs(k_norm(per_mode).value - want) <= 1e-6 * want
 
     def test_tail_reported(self):
         data = self._single_coeff_data(20, 0, 1.0, k=5.0)
