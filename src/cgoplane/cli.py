@@ -75,7 +75,7 @@ def main(argv=None) -> int:
             for c in s["checks"]
         ],
         "scatter": lambda s: [
-            f"born mismatch {s['born_mismatch']}, "
+            f"born mismatch [{', '.join(format(v, '.3e') for v in s['born_mismatch'])}], "
             f"halving ratio {_num(s['halving_ratio'], '.2f')}",
             f"k-norm {s['k_norm']:.4e} (tail {s['k_norm_tail']:.2e})",
         ],

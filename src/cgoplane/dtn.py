@@ -6,10 +6,19 @@ The solver discretizes the energy form
 
 directly on a polar grid (5-point stencil in (r, theta)), with boundary
 nodes sitting exactly on the circle.  The energy is block tridiagonal by
-ring; eliminating it ring by ring from the center outward leaves the DtN
-matrix as the Schur complement on the boundary ring, complex-symmetric by
-construction (no conjugation), and the stored ring solves S_i^{-1} C_i give
-the Dirichlet solve and the guard against 0 being a Dirichlet eigenvalue.
+ring; eliminating it from the center outward leaves the DtN matrix as the
+Schur complement on the boundary ring, complex-symmetric by construction (no
+conjugation), and the stored elimination gives the Dirichlet solve and the
+guard against 0 being a Dirichlet eigenvalue.
+
+Rings 1..k, up to the outermost interior ring k on which V is nonzero, are
+eliminated densely ring by ring; the stored ring solves S_i^{-1} C_i.  On the
+V-free rings k+1..n_r-1 the ring blocks are circulant, so the annulus is
+diagonal in the angular Fourier basis: one real tridiagonal (Thomas) solve in
+r per mode, the direct Poisson solver on the disk of Swarztrauber & Sweet
+(SIAM J. Numer. Anal. 10, 1973).  It couples to the dense part only through
+M = F S_k F^H - c_k^2 diag(g_11) at ring k, inverted once.  A potential that
+reaches ring n_r-1 leaves no annulus and is eliminated densely throughout.
 
 Matrices act on nodal boundary values; the boundary pairing uses the
 uniform arc weights of the mesh.  The H^{1/2} -> H^{-1/2} operator norm
@@ -24,6 +33,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -63,15 +73,45 @@ class BoundaryMesh:
 
 
 @dataclass
+class Annulus:
+    """The V-free rings k+1..n_r-1 eliminated per angular Fourier mode n.
+
+    In the unitary DFT basis F each ring block is diag(lambda_{j,n}), so the
+    annulus is one real tridiagonal matrix T_n per mode (one row per ring in
+    the arrays below, one column per mode).
+    """
+
+    pivots: np.ndarray      # Thomas pivots of T_n
+    offdiag: np.ndarray     # couplings between consecutive annulus rings
+    first_col: np.ndarray   # T_n^{-1} e_1
+    m_inv: np.ndarray       # (F S_k F^H - c_k^2 diag(g_11))^{-1}, g = T_n^{-1} entries
+
+
+def _thomas(pivots, offdiag, y):
+    """T_n^{-1} y for every mode n at once, from the stored pivots (no pivoting:
+    each T_n is a diagonally dominant M-matrix)."""
+    x = np.array(y, dtype=np.result_type(y, pivots))
+    for j in range(1, len(x)):
+        x[j] -= offdiag[j - 1] / pivots[j - 1] * x[j - 1]
+    x[-1] /= pivots[-1]
+    for j in range(len(x) - 2, -1, -1):
+        x[j] = (x[j] - offdiag[j] * x[j + 1]) / pivots[j]
+    return x
+
+
+@dataclass
 class PolarOperator:
-    """Assembled energy form on the polar grid for one potential, eliminated ring by ring."""
+    """Assembled energy form on the polar grid for one potential, eliminated from the
+    center outward: densely through ring v_ring, then per Fourier mode."""
 
     mesh: BoundaryMesh
     n_r: int
     energy: sp.csr_matrix       # full (interior + boundary + center) energy matrix
     interior_idx: np.ndarray
     boundary_idx: np.ndarray
-    ring_solves: np.ndarray     # S_i^{-1} C_i for the interior rings i = 1..n_r-1
+    v_ring: int                 # k: the outermost interior ring with V != 0, at least 1
+    ring_solves: np.ndarray     # S_i^{-1} C_i for i = 1..k-1, or 1..n_r-1 with no annulus
+    annulus: Annulus | None     # rings k+1..n_r-1; None when k = n_r-1
     schur: np.ndarray           # S_{n_r}: the interior eliminated onto the boundary ring
     node_r: np.ndarray          # radius per dof
     node_theta: np.ndarray
@@ -153,19 +193,29 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     boundary_idx = ring(n_r)
     interior_idx = np.append(np.arange((n_r - 1) * m), center_idx)
 
+    v_rings = np.flatnonzero(v_nodes[:(n_r - 1) * m].reshape(n_r - 1, m).any(axis=1))
+    k = int(v_rings[-1]) + 1 if len(v_rings) else 1
+
     # block Gaussian elimination from the center outward:
     # S_1 = A_11 - a a^T / A_cc, then S_{i+1} = A_{i+1,i+1} - C_i S_i^{-1} C_i
     a_cc, a, coupling = _couplings(energy, m)
-    ring_block = lambda i: energy[(i - 1) * m:i * m, (i - 1) * m:i * m].toarray()  # noqa: E731
-    schur = ring_block(1) - np.outer(a, a) / a_cc
-    ring_solves = np.empty((n_r - 1, m, m), dtype=np.complex128)
-    for i, c in enumerate(coupling, start=1):
+    n_dense = k - 1 if k < n_r - 1 else n_r - 1
+    ring_solves = np.empty((n_dense, m, m), dtype=np.complex128)
+    corr = np.outer(a, a) / a_cc  # what the rings inside take off the next ring block
+    for i, c in enumerate(coupling[:n_dense], start=1):
+        schur = _ring_block(energy, m, i) - corr
         ring_solves[i - 1] = np.linalg.solve(schur, np.diag(c))
-        schur = ring_block(i + 1) - c[:, None] * ring_solves[i - 1]
+        corr = c[:, None] * ring_solves[i - 1]
+    annulus = None
+    if n_dense == n_r - 1:
+        schur = _ring_block(energy, m, n_r) - corr
+    else:
+        radial = -np.append(a[0], coupling[:, 0]).real  # c_{j+1/2}, j = 0 (center)..n_r-1
+        annulus, schur = _eliminate_annulus(energy, v_nodes * node_weight, radial, corr, k)
 
     op = PolarOperator(mesh=mesh, n_r=n_r, energy=energy,
-                       interior_idx=interior_idx, boundary_idx=boundary_idx,
-                       ring_solves=ring_solves, schur=schur, node_r=node_r,
+                       interior_idx=interior_idx, boundary_idx=boundary_idx, v_ring=k,
+                       ring_solves=ring_solves, annulus=annulus, schur=schur, node_r=node_r,
                        node_theta=node_theta, node_weight=node_weight, potential=v_nodes)
     _condition_guard(op)
     return op
@@ -179,17 +229,92 @@ def _couplings(energy, m):
     return energy[-1, -1], a, coupling
 
 
+def _ring_block(energy, m, i):
+    return energy[(i - 1) * m:i * m, (i - 1) * m:i * m].toarray()
+
+
+def _chain(alpha, c):
+    """Schur pivots of a chain of rings, less each ring's coupling onward.
+
+    Ring j couples back by c[j] (to a fixed node for j = 0) and carries the
+    excess alpha[j] of its diagonal over its two couplings.  Eliminating from
+    ring 0 on, q_j = alpha_j + c_j q_{j-1} / (c_j + q_{j-1}) adds terms that
+    are positive (up to the rounding of the stored row sums), so the low
+    modes, where the Schur complement is much smaller than the ring block,
+    lose no digits to cancellation.
+    """
+    q = np.empty_like(alpha)
+    q[0] = alpha[0] + c[0]
+    for j in range(1, len(q)):
+        q[j] = alpha[j] + c[j] * q[j - 1] / (c[j] + q[j - 1])
+    return q
+
+
+def _eliminate_annulus(energy, v_weight, c, corr, k):
+    """Eliminate the V-free rings k+1..n_r-1 per Fourier mode, given S_k = A_kk - corr.
+
+    c[j] is the radial coupling c_{j+1/2} of ring j to ring j+1
+    (ring 0 is the center).  A ring block is diag(V w) (v_weight) plus the
+    stencil's circulant F^H diag(lambda_j) F, and each stencil row sums to
+    zero, so lambda_{j,n} = c_{j-1/2} + c_{j+1/2} + alpha_{j,n} with the
+    angular excess alpha_{j,n} = 4 |o_j| sin^2(pi n / m).  Returns the Annulus
+    and the boundary Schur complement
+    A_{n_r,n_r} - c_l^2 F^H [diag(g_LL) + c_k^2 diag(g_1L) M^{-1} diag(g_1L)] F,
+    with the circulant parts taken per mode by _chain.
+    """
+    m = corr.shape[0]
+    n_r = len(c)
+    rings = np.arange(k - 1, n_r) * m  # first dof of rings k..n_r
+    o = energy.diagonal(1)[rings].real
+    d = (energy.diagonal() - v_weight)[rings].real
+    row_sum = d + 2 * o - c[k - 1:] - np.append(c[k:], 0.0)  # zero up to rounding
+    alpha = row_sum[:, None] - 4 * o[:, None] * np.sin(np.pi * np.arange(m) / m) ** 2
+    outward = _chain(alpha[1:], c[k:])                   # rings k+1..n_r
+    inward = _chain(alpha[-2::-1], c[n_r - 1:k - 1:-1])  # rings n_r-1..k
+    pivots = outward[:-1] + c[k + 1:, None]
+    offdiag = -c[k + 1:-1]
+    e_1 = np.zeros_like(pivots)
+    e_1[0] = 1.0
+    first_col = _thomas(pivots, offdiag, e_1)
+    g_1l = first_col[-1]
+    ring = lambda j: v_weight[(j - 1) * m:j * m]  # noqa: E731
+
+    # M = F S_k F^H - c_k^2 diag(g_11), F the unitary DFT: only diag(V w) - corr
+    # goes through the FFT
+    m_hat = np.fft.ifft(np.fft.fft(np.diag(ring(k)) - corr, axis=0, norm="ortho"),
+                        axis=1, norm="ortho")
+    m_hat[np.diag_indices(m)] += c[k - 1] + inward[-1]
+    m_inv = np.linalg.inv(m_hat)
+    # the boundary block less what the annulus takes off it is the circulant of outward[-1]
+    cross = np.fft.ifft(g_1l[:, None] * m_inv * g_1l[None, :], axis=0, norm="ortho")
+    schur = (sla.circulant(np.fft.ifft(outward[-1])) + np.diag(ring(n_r))
+             - (c[-1] * c[k]) ** 2 * np.fft.fft(cross, axis=1, norm="ortho"))
+    return Annulus(pivots=pivots, offdiag=offdiag, first_col=first_col, m_inv=m_inv), schur
+
+
 def _interior_solve(op: PolarOperator, b):
     """A_II^{-1} b, with b ordered like interior_idx (rings 1..n_r-1, then the center),
-    by one forward and one backward sweep over the stored ring solves."""
+    by one forward and one backward sweep over the stored ring solves, with the
+    annulus (if any) solved per Fourier mode in between."""
     a_cc, a, coupling = _couplings(op.energy, op.mesh.n_nodes)
+    k = op.v_ring
     x = b[:-1].reshape(coupling.shape).astype(np.complex128)
     x[0] -= a * b[-1] / a_cc
-    for i in range(len(x) - 1):
+    for i in range(k - 1):
         x[i] = op.ring_solves[i] @ (x[i] / coupling[i])
         x[i + 1] -= coupling[i] * x[i]
-    x[-1] = op.ring_solves[-1] @ (x[-1] / coupling[-1])
-    for i in range(len(x) - 2, -1, -1):
+    if op.annulus is None:
+        x[-1] = op.ring_solves[-1] @ (x[-1] / coupling[-1])
+    else:
+        # rings k..n_r-1: eliminate the annulus onto ring k, solve there, substitute back
+        ann = op.annulus
+        c_k = coupling[k - 1, 0].real
+        y = np.fft.fft(x[k - 1:], axis=1, norm="ortho")
+        z = _thomas(ann.pivots, ann.offdiag, y[1:])
+        y[0] = ann.m_inv @ (y[0] - c_k * z[0])
+        y[1:] = z - c_k * ann.first_col * y[0]
+        x[k - 1:] = np.fft.ifft(y, axis=1, norm="ortho")
+    for i in range(k - 2, -1, -1):
         x[i] -= op.ring_solves[i] @ x[i + 1]
     return np.append(x, (b[-1] - a @ x[0]) / a_cc)
 
@@ -333,7 +458,7 @@ def dtn_opnorm_diff(A: DtnMatrix, B: DtnMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"DTNBLOB1"
-_VERSION = 2  # of the discretization: bump it when the DtN arithmetic changes
+_VERSION = 3  # of the discretization: bump it when the DtN arithmetic changes
 
 
 def cache_key(potential_hash: str, mesh: BoundaryMesh, n_r: int) -> str:

@@ -179,23 +179,36 @@ class PiecewiseBoundary:
 
 
 def _even_odd_inside(poly: np.ndarray, q1, q2):
-    """Even-odd crossing test of query mesh against a closed polyline."""
+    """Even-odd crossing test of query mesh against a closed polyline.
+
+    Only points in the polyline's bounding box are tested.  A rightward ray
+    from any other point crosses the closed polyline an even number of times,
+    or never, so the point is outside.  The box is widened along x by the few
+    ulps that rounding can move a computed crossing past an edge's endpoints,
+    which keeps the result bit for bit that of testing every point.
+    """
     x = np.asarray(q1, float)
     y = np.asarray(q2, float)
     shape = np.broadcast(x, y).shape
     x = np.broadcast_to(x, shape).reshape(-1)
     y = np.broadcast_to(y, shape).reshape(-1)
-    inside = np.zeros(x.shape, dtype=bool)
     px = poly[:, 0]
     py = poly[:, 1]
+    slack = 8 * np.finfo(float).eps * np.max(np.abs(px))
+    box = ((y >= py.min()) & (y <= py.max())
+           & (x >= px.min() - slack) & (x <= px.max() + slack))
+    xb, yb = x[box], y[box]
+    hit = np.zeros(xb.shape, dtype=bool)
     nx = np.roll(px, -1)
     ny = np.roll(py, -1)
     for k in range(len(px)):
         x0, y0, x1, y1 = px[k], py[k], nx[k], ny[k]
         if y0 == y1:
             continue
-        cond = ((y0 > y) != (y1 > y)) & (x < (x1 - x0) * (y - y0) / (y1 - y0) + x0)
-        inside ^= cond
+        cond = ((y0 > yb) != (y1 > yb)) & (xb < (x1 - x0) * (yb - y0) / (y1 - y0) + x0)
+        hit ^= cond
+    inside = np.zeros(x.shape, dtype=bool)
+    inside[box] = hit
     return inside.reshape(shape)
 
 

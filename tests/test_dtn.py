@@ -250,42 +250,124 @@ class TestSingularityGuard:
         assert _condition_guard(first) == _condition_guard(second)
 
 
+class TestAnnulusSingularityGuard:
+    """V = -mu_1 chi_{r <= 1/2} makes 0 a Dirichlet eigenvalue; the annulus r > 1/2 is V-free."""
+
+    @staticmethod
+    def potential(mu):
+        return lambda Z1, Z2: np.where(Z1**2 + Z2**2 <= 0.25, -mu, 0.0)
+
+    @pytest.fixture(scope="class")
+    def mu1(self):
+        # 0 = min eig of L - mu W_chi: the largest eigenvalue 1/mu of W_chi x = nu L x
+        op = assemble_polar_operator(self.potential(-1.0), BoundaryMesh(n_nodes=64), n_r=32)
+        assert op.annulus is not None
+        idx = op.interior_idx
+        w_chi = op.potential[idx].real * op.node_weight[idx]
+        lap = op.energy[idx][:, idx].toarray().real - np.diag(w_chi)
+        n = len(idx)
+        return 1.0 / sla.eigh(np.diag(w_chi), lap, eigvals_only=True,
+                              subset_by_index=[n - 1, n - 1])[0]
+
+    def test_dirichlet_eigenvalue_refused(self, mu1):
+        with pytest.raises(NearSingular):
+            assemble_polar_operator(self.potential(mu1), BoundaryMesh(n_nodes=64), n_r=32)
+
+    @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+    def test_shifted_eigenvalue_passes(self, mu1, shift):
+        op = assemble_polar_operator(self.potential(mu1 + shift), BoundaryMesh(n_nodes=64),
+                                     n_r=32)
+        assert op.annulus is not None
+
+
+def _dense_defects(op, rng):
+    """Relative defects of the DtN, solve_dirichlet and _interior_solve (center load
+    included) against dense solves of the assembled energy, and the DtN's symmetry defect."""
+    mesh = op.mesh
+    m = mesh.n_nodes
+    energy = op.energy.toarray()
+    a_ii = energy[np.ix_(op.interior_idx, op.interior_idx)]
+    a_ib = energy[np.ix_(op.interior_idx, op.boundary_idx)]
+    rel = lambda got, want: np.linalg.norm(got - want) / np.linalg.norm(want)  # noqa: E731
+    full = np.zeros((op.n_dof, m), dtype=complex)
+    full[op.interior_idx] = np.linalg.solve(a_ii, -a_ib)
+    full[op.boundary_idx] = np.eye(m)
+    gram = full.T @ energy @ full / mesh.arc_weights[0]
+    dtn = dtn_matrix(None, mesh, op=op)
+    f = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    sol = solve_dirichlet(None, f, mesh, op=op).full[op.interior_idx]
+    b = rng.standard_normal(a_ii.shape[0]) + 1j * rng.standard_normal(a_ii.shape[0])
+    return {"dtn": rel(dtn.entries, gram), "dirichlet": rel(sol, np.linalg.solve(a_ii, -a_ib @ f)),
+            "interior": rel(_interior_solve(op, b), np.linalg.solve(a_ii, b)),
+            "symmetry": dtn.symmetry_defect()}
+
+
 class TestDenseOracle:
     """Ring elimination against a dense interior solve of the assembled energy."""
 
     @pytest.fixture(scope="class")
-    def dense(self):
-        mesh = BoundaryMesh(n_nodes=64)
+    def defects(self):
         op = assemble_polar_operator(
-            lambda Z1, Z2: (2.0 - 1.5j) * np.exp(-((Z1 - 0.2)**2 + Z2**2) / 0.1), mesh, n_r=16)
-        energy = op.energy.toarray()
-        a_ii = energy[np.ix_(op.interior_idx, op.interior_idx)]
-        a_ib = energy[np.ix_(op.interior_idx, op.boundary_idx)]
-        return mesh, op, energy, a_ii, a_ib
+            lambda Z1, Z2: (2.0 - 1.5j) * np.exp(-((Z1 - 0.2)**2 + Z2**2) / 0.1),
+            BoundaryMesh(n_nodes=64), n_r=16)
+        assert op.annulus is None
+        return _dense_defects(op, np.random.default_rng(20240811))
 
-    def test_dtn_is_the_gram_of_solved_hat_columns(self, dense):
-        mesh, op, energy, a_ii, a_ib = dense
-        full = np.zeros((op.n_dof, 64), dtype=complex)
-        full[op.interior_idx] = np.linalg.solve(a_ii, -a_ib)
-        full[op.boundary_idx] = np.eye(64)
-        gram = full.T @ energy @ full / mesh.arc_weights[0]
-        got = dtn_matrix(None, mesh, op=op).entries
-        assert np.linalg.norm(got - gram) / np.linalg.norm(gram) <= 1e-12
+    def test_dtn_is_the_gram_of_solved_hat_columns(self, defects):
+        assert defects["dtn"] <= 1e-12
 
-    def test_dirichlet_solve(self, dense, rng):
-        mesh, op, energy, a_ii, a_ib = dense
-        f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        want = np.linalg.solve(a_ii, -a_ib @ f)
-        got = solve_dirichlet(None, f, mesh, op=op).full[op.interior_idx]
-        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+    def test_dirichlet_solve(self, defects):
+        assert defects["dirichlet"] <= 1e-12
 
-    def test_interior_sweep_with_center_load(self, dense, rng):
+    def test_interior_sweep_with_center_load(self, defects):
         # the condition guard applies the sweep to vectors loading every interior dof
-        _, op, _, a_ii, _ = dense
-        b = rng.standard_normal(a_ii.shape[0]) + 1j * rng.standard_normal(a_ii.shape[0])
-        want = np.linalg.solve(a_ii, b)
-        got = _interior_solve(op, b)
-        assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-12
+        assert defects["interior"] <= 1e-12
+
+
+def _disk_supported(rho):
+    """A complex potential that vanishes outside the disk r <= rho."""
+    return lambda Z1, Z2: (2.0 - 1.5j) * (1 + 0.5 * Z1) * (Z1**2 + Z2**2 <= rho**2)
+
+
+class TestAnnulusOracle:
+    """The Fourier-mode elimination of the V-free annulus against dense solves
+    (m = 64, n_r = 16)."""
+
+    POTENTIALS = {
+        "zero": None,
+        "boundary_ring": lambda Z1, Z2: np.where(Z1**2 + Z2**2 > 0.99, 1.5 - 0.5j, 0.0),
+        "half_disk": _disk_supported(0.5),
+    }
+
+    @pytest.fixture(scope="class", params=sorted(POTENTIALS))
+    def defects(self, request):
+        op = assemble_polar_operator(self.POTENTIALS[request.param], BoundaryMesh(n_nodes=64),
+                                     n_r=16)
+        assert op.annulus is not None
+        return _dense_defects(op, np.random.default_rng(7))
+
+    @pytest.mark.parametrize("what", ["dtn", "dirichlet", "interior", "symmetry"])
+    def test_matches_dense(self, defects, what):
+        assert defects[what] <= 1e-12
+
+    def test_stores_the_ring_solves_the_potential_needs(self):
+        mesh = BoundaryMesh(n_nodes=64)
+        inner = assemble_polar_operator(_disk_supported(0.5), mesh, n_r=16)
+        assert len(inner.ring_solves) < 15
+        full = assemble_polar_operator(bump_potential(), mesh, n_r=16)
+        assert full.v_ring == 15 and full.annulus is None
+        assert len(full.ring_solves) == 15
+
+
+@settings(max_examples=15, deadline=None)
+@given(ring=st.integers(0, 15), frac=st.floats(0.05, 0.95))
+def test_annulus_matches_dense_for_any_support_radius(ring, frac):
+    # the support ends between ring `ring` and the next, so k = max(ring, 1)
+    op = assemble_polar_operator(_disk_supported((ring + frac) / 16), BoundaryMesh(n_nodes=64),
+                                 n_r=16)
+    assert op.v_ring == max(ring, 1)
+    defects = _dense_defects(op, np.random.default_rng(ring))
+    assert max(defects.values()) <= 1e-12, defects
 
 
 @settings(max_examples=20, deadline=None)

@@ -164,7 +164,9 @@ class TestScatterRunner:
         cfgfile.write_text(json.dumps({"params": {"nystrom_n": 32, "n_angles": 64,
                                                   "cutoff": 16, "epsilons": [0.2]}}))
         assert cli_main(["scatter", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
-        assert "halving ratio n/a" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "halving ratio n/a" in out
+        assert "np.float64" not in out
         text = (tmp_path / "scatter_summary.json").read_text()
         assert '"halving_ratio": null' in text
         assert json.loads(text)["halving_ratio"] is None

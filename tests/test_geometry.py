@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cgoplane.geometry import (GraphSegment, PiecewiseBoundary, SubDomain,
+from cgoplane.geometry import (GraphSegment, PiecewiseBoundary, SubDomain, _even_odd_inside,
                                curve_distance_c2, make_disk, make_rhombus)
 
 
@@ -127,3 +128,55 @@ def test_subdomain_predicate_vs_winding():
     rh = make_rhombus()
     with pytest.raises(ValueError, match="disagrees"):
         SubDomain(rh.boundary, inside=lambda q1, q2: np.asarray(q1) > 10.0)
+
+
+def _even_odd_every_point(poly, q1, q2):
+    """The crossing loop run over every query point, with no bounding-box filter."""
+    x, y = np.broadcast_arrays(np.asarray(q1, float), np.asarray(q2, float))
+    inside = np.zeros(x.shape, dtype=bool)
+    px, py = poly[:, 0], poly[:, 1]
+    nx, ny = np.roll(px, -1), np.roll(py, -1)
+    for k in range(len(px)):
+        x0, y0, x1, y1 = px[k], py[k], nx[k], ny[k]
+        if y0 == y1:
+            continue
+        inside ^= ((y0 > y) != (y1 > y)) & (x < (x1 - x0) * (y - y0) / (y1 - y0) + x0)
+    return inside
+
+
+def _lens_boundary():
+    w, h = 0.08, 0.04
+    top = GraphSegment.from_polynomial("z1", (-w, w), [h, 0.0, -h / w**2])
+    bottom = GraphSegment.from_polynomial("z1", (-w, w), [-h, 0.0, h / w**2], reverse=True)
+    return PiecewiseBoundary([top, bottom])
+
+
+_POLYLINES = {
+    "rhombus": make_rhombus().boundary.polyline(256),
+    "disk": make_disk(center=(0.2, -0.1), radius=0.6).boundary.polyline(256),
+    "lens": _lens_boundary().polyline(256),
+}
+
+
+def _coordinate(lo, hi):
+    """Floats inside, outside and exactly on [lo, hi], and a few ulps beyond its ends."""
+    span = hi - lo
+    near = [np.nextafter(v, d) for v in (lo, hi) for d in (-np.inf, np.inf)]
+    beyond = [lo - j * np.spacing(lo) for j in range(1, 17)] + \
+        [hi + j * np.spacing(hi) for j in range(1, 17)]
+    return st.one_of(st.floats(lo - span, hi + span),
+                     st.sampled_from([lo, hi] + near + beyond))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_POLYLINES)), data=st.data())
+def test_even_odd_box_filter_is_bit_identical(name, data):
+    poly = _POLYLINES[name]
+    x = _coordinate(poly[:, 0].min(), poly[:, 0].max())
+    y = _coordinate(poly[:, 1].min(), poly[:, 1].max())
+    pts = data.draw(st.lists(st.tuples(x, y), min_size=1, max_size=64))
+    q1, q2 = np.array(pts).T
+    assert np.array_equal(_even_odd_inside(poly, q1, q2), _even_odd_every_point(poly, q1, q2))
+    # also on a mesh, the shape rasterization passes
+    m1, m2 = np.meshgrid(q1, q2)
+    assert np.array_equal(_even_odd_inside(poly, m1, m2), _even_odd_every_point(poly, m1, m2))
