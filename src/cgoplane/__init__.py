@@ -2,7 +2,7 @@
 boundary (Dirichlet-to-Neumann) and fixed-energy scattering data, built around
 quadratic-phase complex-geometrical-optics fields."""
 
-from .cgo import (PhaseParams, dz, dz_inv, dzbar, dzbar_inv, hs_norm, phase_mul,
+from .cgo import (PhaseParams, alias_margin, dz_inv, dzbar_inv, hs_norm, phase_mul,
                   s1_apply, solve_w, t_w_lambda)
 from .dtn import (BoundaryMesh, DtnMatrix, dtn_matrix, dtn_matrix_cached,
                   dtn_opnorm_diff, load_dtn, save_dtn, solve_dirichlet)
@@ -17,7 +17,7 @@ from .potentials import (PiecewisePotential, chi_hr_norm, dsr_norm_upper, load_p
                          potential_from_description, rasterize, w_s1_norm)
 from .reconstruct import (AMPLIFICATION_BUDGET, ErrorWeightMap, ReconSample,
                           amplification_exponent, build_error_weight_map,
-                          bukhgeim_trace, error_map, lambda_sweep,
+                          bukhgeim_trace, lambda_sweep,
                           reconstruct_boundary, reconstruct_interior)
 from .scattering import (FarFieldData, compute_far_field_data, far_field, green0,
                          k_norm, solve_lippmann_schwinger)

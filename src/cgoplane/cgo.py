@@ -17,6 +17,14 @@ periodic inverses are the Fourier multipliers 2/(i(xi1 - i xi2)) and
 for the Cauchy transforms of compactly supported fields as long as the
 support keeps the side_len/4 padding margin of the grid.  Both multipliers
 are cached per grid object, and e^{i lam phi_x} per (grid object, lam, x).
+phi_x separates, so the phase is built as the outer product of two 1-D
+chirps, e^{-i lam (z2 - x2)^2} and e^{i lam (z1 - x1)^2}: 2n exponentials, not
+n^2 (about 1 ms against 15 ms at 512^2 on 2 vCPU).
+
+Sampled at spacing h, the phase has ghost stationary points at
+x + (pi / (lam h)) (k1, k2) for integers k1, k2, the nearest at
+x -+ (pi n / (lam side)) e_j.  alias_margin measures how far they stay from
+the support of V; the runners record it, the solvers do not check it.
 
 The correction field w = w_{lambda,x} solves the fixed-point equation
 
@@ -28,7 +36,9 @@ arrays it allocates itself: each forward/inverse FFT pair transforms its work
 array in place (``overwrite_x``), and the multipliers and phases are applied
 with in-place products whose output is their first operand, so every value is
 bit-identical to the out-of-place composition of phase_mul, dz_inv and
-dzbar_inv.  Inputs are never written to.
+dzbar_inv.  Inputs are never written to.  The first transform acts on
+e^{i lam phi} V (1 + w), which is zero outside V's columns, so grid.fft2
+skips the all-zero columns in its first pass.
 """
 
 from __future__ import annotations
@@ -44,6 +54,8 @@ from .errors import NonConvergence
 from .grid import ComplexField, FourierGrid, check_padding_support, fft2, ifft2
 
 SUPPORT_TOL = 1e-6
+# distance a ghost stationary point must keep from the support of V (alias_margin)
+ALIAS_CLEARANCE = 0.1
 
 
 @dataclass(frozen=True)
@@ -65,16 +77,6 @@ def psi_at(z1, z2, x) -> np.ndarray:
     return 0.5 * zeta * zeta
 
 
-def psi_values(grid: FourierGrid, x) -> np.ndarray:
-    """psi_x on the nodes (complex)."""
-    return psi_at(grid.Z1, grid.Z2, x)
-
-
-def phi_values(grid: FourierGrid, x) -> np.ndarray:
-    """phi_x = psi_x + conj(psi_x) on the nodes (real)."""
-    return (grid.Z1 - x[0]) ** 2 - (grid.Z2 - x[1]) ** 2
-
-
 def _dz_symbol(grid):
     return 0.5j * (grid.XI1 - 1j * grid.XI2)
 
@@ -87,16 +89,6 @@ def _apply_multiplier(F: ComplexField, mult) -> ComplexField:
     a = fft2(F.values)
     a *= mult
     return ComplexField(F.grid, ifft2(a, overwrite_x=True))
-
-
-def dz(F: ComplexField) -> ComplexField:
-    """Spectral d/dz derivative."""
-    return _apply_multiplier(F, _dz_symbol(F.grid))
-
-
-def dzbar(F: ComplexField) -> ComplexField:
-    """Spectral d/dzbar derivative."""
-    return _apply_multiplier(F, _dzbar_symbol(F.grid))
 
 
 @lru_cache(maxsize=4)
@@ -136,11 +128,49 @@ def resolution_ok(grid: FourierGrid, lam: float) -> bool:
     return lam * grid.side_len**2 / grid.n_per_side**2 <= 0.25
 
 
+def alias_margin(V: ComplexField, p: PhaseParams) -> float:
+    """Distance from the ghosts of x to the nonzero nodes of V, less ALIAS_CLEARANCE.
+
+    On nodes of spacing h, e^{i lam phi_x} is a constant times e^{i lam phi_g}
+    for every g = x + s (k1, k2), s = pi / (lam h) = pi n / (lam side), with
+    integers k1, k2: the grid quadrature of the interior functional has a
+    stationary point at each of these ghosts as well as at x.  The nearest
+    are x -+ s e_j.  A ghost on or next to the support of V spoils the value
+    at x, so the margin should be positive.  The zero potential gives +inf.
+    """
+    g = V.grid
+    s = np.pi / (p.lam * g.h)
+    i2, i1 = np.nonzero(V.values)
+    if i1.size == 0:
+        return np.inf
+    # node offsets from x in units of s, and the nearest ghost to each node;
+    # a node nearest to x itself takes the neighbour ghost on its longer axis
+    d1, d2 = (g.z1[i1] - p.x[0]) / s, (g.z2[i2] - p.x[1]) / s
+    k1, k2 = np.rint(d1), np.rint(d2)
+    home = (k1 == 0) & (k2 == 0)
+    first = home & (np.abs(d1) >= np.abs(d2))
+    k1[first] = np.copysign(1.0, d1[first])
+    k2[home & ~first] = np.copysign(1.0, d2[home & ~first])
+    return float(s * np.min(np.hypot(d1 - k1, d2 - k2))) - ALIAS_CLEARANCE
+
+
 _phase_slot = threading.local()
+
+
+def _chirp(t, c, lam):
+    """e^{i lam (t - c)^2} on the 1-D nodes t."""
+    return np.exp(1j * lam * (t - c) ** 2)
 
 
 def _phase(grid: FourierGrid, p: PhaseParams) -> np.ndarray:
     """e^{i lam phi_x} on the nodes, built once per (grid, p), read-only.
+
+    phi_x = (z1 - x1)^2 - (z2 - x2)^2 separates, so the phase is the outer
+    product of two 1-D chirps, e^{-i lam (z2 - x2)^2} down the rows and
+    e^{i lam (z1 - x1)^2} along them: 2n exponentials instead of n^2.  Each
+    chirp rounds its own argument, so the product is within
+    4 eps lam max|z - x|^2 of the exponential of the joint argument (2.3e-13
+    at 512^2 of side 4, lam = 512), and exactly 1 at a node x.
 
     One entry per thread, holding the grid object itself: the sweep threads of
     a parallel run keep their own phase instead of evicting each other's.
@@ -148,7 +178,7 @@ def _phase(grid: FourierGrid, p: PhaseParams) -> np.ndarray:
     entry = getattr(_phase_slot, "entry", None)
     if entry is not None and entry[0] is grid and entry[1] == p:
         return entry[2]
-    phase = np.exp(1j * p.lam * phi_values(grid, p.x))
+    phase = _chirp(grid.z2, p.x[1], -p.lam)[:, None] * _chirp(grid.z1, p.x[0], p.lam)
     phase.flags.writeable = False
     _phase_slot.entry = (grid, p, phase)
     return phase
@@ -183,9 +213,12 @@ def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> Com
 
     Equals (1/4) dzbar_inv[e^{-i lam phi} dz_inv[e^{+i lam phi} F]] bit for bit,
     computed on two new arrays: F is never written to, and each FFT transforms
-    its work array in place.  The outer inverse acts on a field that fills the
-    square by construction, so only F's support is checked.  Warns like
-    phase_mul when lam is under-resolved on the grid.
+    its work array in place.  The phase comes from _phase, two 1-D chirps.  The
+    first transform's input e^{i lam phi} F vanishes wherever F does, so for a
+    compactly supported F grid.fft2 transforms only F's columns along axis 0.
+    The outer inverse acts on a field that fills the square by construction,
+    so only F's support is checked.  Warns like phase_mul when lam is
+    under-resolved on the grid.
     """
     g = F.grid
     if check_support:

@@ -60,7 +60,8 @@ def main(argv=None) -> int:
         ] + [f"constant supported by data: {s['constant_supported_by_data']}"],
         "convergence": lambda s: [
             f"x={e['x']}: slope {_num(e['interior_slope'], '.3f')}, "
-            f"limit rel err {e['limit_rel_error_of_max']:.3f}"
+            f"limit rel err {e['limit_rel_error_of_max']:.3f}, "
+            f"alias margin {_num(e['alias_margin'], '.3f')}"
             for e in s["per_point"]
         ],
         "stability": lambda s: [

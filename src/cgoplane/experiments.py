@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import reference
-from .cgo import (PhaseParams, homogeneous_weight, hs_norm, phase_mul, s1_adjoint,
-                  s1_apply, solve_w)
+from .cgo import (PhaseParams, alias_margin, homogeneous_weight, hs_norm, phase_mul,
+                  s1_adjoint, s1_apply, solve_w)
 from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
                   dtn_matrix_cached, dtn_opnorm_diff, solve_dirichlet)
 from .errors import BlobFormatError, ConfigError
@@ -275,6 +275,9 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         errs_i = [abs(s.value_interior - s.truth) for s in sweep.samples]
         lams_i = [s.lam for s in sweep.samples]
         slope_i = fit_loglog_slope(lams_i, errs_i)
+        # worst over the requested lambdas: negative when a ghost of x comes
+        # within ALIAS_CLEARANCE of V; +inf (written null) for the zero potential
+        margin = min(alias_margin(V, PhaseParams(lam, (x[0], x[1]))) for lam in lams)
         entry = {
             "x": [float(x[0]), float(x[1])],
             "truth": truth,
@@ -284,6 +287,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
             "limit_abs_error": abs(sweep.limit - truth),
             "limit_rel_error_of_max": abs(sweep.limit - truth) / max_v,
             "weight": float(wm.weights[i]),
+            "alias_margin": margin if np.isfinite(margin) else None,
         }
         if dtn_pair is not None:
             # boundary statistics over the admitted lambdas only (no slope

@@ -13,6 +13,17 @@ FFTs run on scipy's single worker; parallelism comes only from the runners'
 128^2 transform took 0.164 ms against 0.133 ms on one worker, 256^2 0.648
 against 0.591 ms, and 512^2 was a tie (3.37 ms; medians of 30 interleaved
 trials on 2 vCPU).
+
+``fft2`` prunes its input's all-zero leading and trailing columns from the
+axis-0 pass (Markel's pruned FFT, 1971): a compactly supported field, such
+as the first transform of every S1 pass, the far-field pad or a potential,
+costs its columns, not n.  The result is bit-identical to scipy's fft2.
+Two edge columns decide whether to look: when both are nonzero the input
+goes to scipy unchanged, otherwise one ``any(axis=0)`` (0.3 ms at 512^2)
+finds the columns.  At 512^2 of side 4, the 1 + 0.5i disk of radius 0.3
+fills 77 of 512 columns, and an in-place transform of phase * V took 3.8 ms
+against 6.7 ms unpruned, the column search included (medians of 100
+interleaved trials on 2 vCPU).
 """
 
 from __future__ import annotations
@@ -28,8 +39,24 @@ def _is_pow2(n: int) -> bool:
 
 
 def fft2(a, overwrite_x=False):
-    """2-D FFT; with overwrite_x=True a complex128 input is transformed in its own memory."""
-    return _sfft.fft2(a, overwrite_x=overwrite_x)
+    """2-D FFT; with overwrite_x=True a complex128 input is transformed in its own memory.
+
+    A complex128 input whose first or last column is zero is transformed along
+    axis 0 only over the columns [c0, c1) that hold its nonzero entries, then
+    along axis 1 in full (a pruned FFT, Markel 1971).  pocketfft also runs
+    axis 0 first, column by column, so the result equals scipy's fft2 bit for
+    bit.  Other inputs go to scipy's fft2 unchanged.
+    """
+    if a.dtype != np.complex128 or a.ndim != 2 or (a[:, 0].any() and a[:, -1].any()):
+        return _sfft.fft2(a, overwrite_x=overwrite_x)
+    cols = np.flatnonzero(a.any(axis=0))
+    if cols.size == 0:
+        return _sfft.fft2(a, overwrite_x=overwrite_x)
+    c0, c1 = cols[0], cols[-1] + 1
+    # the caller's array is the work array only when the caller gave it up
+    out = a if overwrite_x else np.zeros_like(a)
+    out[:, c0:c1] = _sfft.fft(a[:, c0:c1], axis=0)
+    return _sfft.fft(out, axis=1, overwrite_x=True)
 
 
 def ifft2(a, overwrite_x=False):

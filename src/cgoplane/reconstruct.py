@@ -1,5 +1,5 @@
 """Pointwise recovery functionals: the boundary route through DtN matrices and
-its interior twin, with phase-frequency sweeps and error maps.
+its interior twin, with phase-frequency sweeps and error-weight maps.
 
 The boundary route evaluates
 
@@ -211,31 +211,3 @@ def build_error_weight_map(xs, boundaries, exclusion_band: float) -> ErrorWeight
     weights[degenerate] = np.inf
     return ErrorWeightMap(xs=xs, weights=weights, degenerate_mask=degenerate,
                           near_curve_mask=near)
-
-
-@dataclass(frozen=True)
-class ErrorMapResult:
-    xs: np.ndarray
-    errors: np.ndarray        # |recon - truth|, NaN at excluded points
-    excluded: np.ndarray      # True where masked (degenerate or near-curve)
-    values: np.ndarray        # reconstructed complex values (NaN at excluded)
-
-
-def error_map(V: ComplexField, truth_fn, lam: float, xs, weights: ErrorWeightMap,
-              tol: float = 1e-8) -> ErrorMapResult:
-    """Absolute interior-route error per probe point, masked points excluded."""
-    xs = np.atleast_2d(np.asarray(xs, float))
-    if xs.shape[0] != weights.xs.shape[0]:
-        raise ValueError("weights were built for a different probe set")
-    excluded = weights.degenerate_mask | weights.near_curve_mask
-    errors = np.full(len(xs), np.nan)
-    values = np.full(len(xs), np.nan, dtype=complex)
-    truth = np.asarray(truth_fn(xs[:, 0], xs[:, 1]), dtype=complex)
-    for i, x in enumerate(xs):
-        if excluded[i]:
-            continue
-        p = PhaseParams(lam=lam, x=(x[0], x[1]))
-        val = reconstruct_interior(V, p, tol=tol)
-        values[i] = val
-        errors[i] = abs(val - truth[i])
-    return ErrorMapResult(xs=xs, errors=errors, excluded=excluded, values=values)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgoplane.grid import ComplexField, FourierGrid
+from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +34,28 @@ def supported_noise(grid, rng, radius=0.35):
     r2 = grid.Z1**2 + grid.Z2**2
     taper = np.exp(-np.maximum(r2 - radius**2, 0.0) / (2 * 0.05**2))
     return ComplexField(grid, vals * taper)
+
+
+# Oracles: formulas the package no longer needs, kept here to test against.
+
+def psi_values(grid, x):
+    """psi_x = (1/2)((z1 - x1) + i(z2 - x2))^2 on the nodes (complex)."""
+    zeta = (grid.Z1 - x[0]) + 1j * (grid.Z2 - x[1])
+    return 0.5 * zeta * zeta
+
+
+def phi_values(grid, x):
+    """phi_x = psi_x + conj(psi_x) = (z1 - x1)^2 - (z2 - x2)^2 on the nodes (real)."""
+    return (grid.Z1 - x[0]) ** 2 - (grid.Z2 - x[1]) ** 2
+
+
+def dz(F):
+    """Spectral d/dz: the symbol (i/2)(xi1 - i xi2)."""
+    g = F.grid
+    return ComplexField(g, ifft2(fft2(F.values) * (0.5j * (g.XI1 - 1j * g.XI2))))
+
+
+def dzbar(F):
+    """Spectral d/dzbar: the symbol (i/2)(xi1 + i xi2)."""
+    g = F.grid
+    return ComplexField(g, ifft2(fft2(F.values) * (0.5j * (g.XI1 + 1j * g.XI2))))

@@ -7,11 +7,12 @@ import pytest
 from cgoplane import cgo
 from cgoplane.cgo import PhaseParams
 from cgoplane.errors import NonConvergence, SupportViolation
-from cgoplane.experiments import ExperimentConfig, run_convergence
+from cgoplane.experiments import PWC_DISK_POTENTIAL, ExperimentConfig, run_convergence
 from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
+from cgoplane.potentials import potential_from_description, rasterize
 from cgoplane.utils import fit_loglog_slope
 
-from conftest import gaussian_bump, supported_noise
+from conftest import dz, dzbar, gaussian_bump, phi_values, supported_noise
 
 
 def test_phase_params_validation():
@@ -29,7 +30,7 @@ class TestWirtingerInverses:
 
     def test_derivative_of_bump_inverts_back(self, grid256):
         g = gaussian_bump(grid256)
-        F = cgo.dz(g)
+        F = dz(g)
         back = cgo.dz_inv(F)
         target = g - g.mean()
         err = np.max(np.abs(back.values - target.values))
@@ -37,14 +38,14 @@ class TestWirtingerInverses:
 
     def test_forward_roundtrip_dz(self, grid256):
         F = gaussian_bump(grid256)
-        rec = cgo.dz(cgo.dz_inv(F))
+        rec = dz(cgo.dz_inv(F))
         target = F - F.mean()
         rel = (rec - target).l2_norm() / F.l2_norm()
         assert rel <= 1e-6
 
     def test_forward_roundtrip_dzbar(self, grid256):
         F = gaussian_bump(grid256, sigma=0.12)
-        rec = cgo.dzbar(cgo.dzbar_inv(F))
+        rec = dzbar(cgo.dzbar_inv(F))
         target = F - F.mean()
         rel = (rec - target).l2_norm() / F.l2_norm()
         assert rel <= 1e-6
@@ -98,10 +99,21 @@ class TestPhaseMul:
 
     def test_phase_factor_is_one_at_x(self, grid128):
         g = grid128
-        # put x exactly on a node
+        # put x exactly on a node: both chirps are e^0 there
         x = (g.z1[70], g.z2[40])
-        phase = np.exp(1j * 123.0 * cgo.phi_values(g, x))
-        assert abs(phase[40, 70] - 1.0) < 1e-14
+        assert cgo._phase(g, PhaseParams(123.0, x))[40, 70] == 1.0
+
+    @pytest.mark.parametrize("n, lam", [(512, 128.0), (512, 512.0), (128, 64.0)])
+    def test_phase_matches_the_exponential_of_phi(self, n, lam):
+        # the outer product of the two chirps rounds each argument on its own;
+        # the joint exponential rounds lam * phi, up to lam * max|z - x|^2
+        g = FourierGrid(n, 4.0)
+        p = PhaseParams(lam, (0.13, -0.07))
+        expected = np.exp(1j * lam * phi_values(g, p.x))
+        reach = np.max((g.Z1 - p.x[0]) ** 2 + (g.Z2 - p.x[1]) ** 2)
+        got = cgo._phase(g, p)
+        assert not got.flags.writeable
+        assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps * lam * reach
 
     def test_resolution_warning(self, grid128):
         F = gaussian_bump(grid128)
@@ -153,6 +165,48 @@ class TestPhaseMul:
         args = (F,) if op in ("dz_inv", "dzbar_inv") else (F, p)
         getattr(cgo, op)(*args)
         assert np.array_equal(F.values, before)
+
+
+class TestAliasMargin:
+    @pytest.fixture(scope="class")
+    def disk512(self):
+        return rasterize(potential_from_description(PWC_DISK_POTENTIAL), FourierGrid(512, 4.0))
+
+    @pytest.mark.parametrize("x, margin_lo, margin_hi, err_lo, err_hi", [
+        # the ghost x - 0.785 e_1 lands 0.015 outside the disk
+        ((0.47, 0.0), -0.1, -0.07, 0.3, np.inf),
+        # only the diagonal ghost x - 0.785 (e_1 + e_2) reaches the disk
+        ((0.6, 0.6), -0.1, -0.09, 0.5, np.inf),
+        # every ghost clear
+        ((0.35, 0.35), 0.1, 0.2, 0.0, 0.05),
+    ])
+    def test_margin_marks_the_probes_a_ghost_spoils(self, disk512, x, margin_lo, margin_hi,
+                                                    err_lo, err_hi):
+        # 1 + 0.5i disk of radius 0.3 at 512^2 of side 4, lam = 512: ghost spacing 0.785
+        p = PhaseParams(512.0, x)
+        assert margin_lo <= cgo.alias_margin(disk512, p) <= margin_hi
+        err = abs(cgo.t_w_lambda(disk512, 1 + cgo.solve_w(disk512, p), p)) / abs(1 + 0.5j)
+        assert err_lo <= err <= err_hi
+
+    def test_margin_is_the_distance_to_the_nearest_ghost(self, rng):
+        g = FourierGrid(64, 4.0)
+        for _ in range(20):
+            vals = np.zeros((64, 64), complex)
+            i2, i1 = rng.integers(16, 48, 5), rng.integers(16, 48, 5)
+            vals[i2, i1] = 1.0
+            x = tuple(rng.uniform(-0.9, 0.9, 2))
+            p = PhaseParams(rng.uniform(8.0, 64.0), x)
+            s = np.pi * 64 / (p.lam * 4.0)
+            k = np.arange(-8, 9)
+            g1, g2 = (x[0] + s * k)[:, None], (x[1] + s * k)[None, :]
+            brute = min(np.min(np.where((k[:, None] == 0) & (k[None, :] == 0), np.inf,
+                                        np.hypot(g.z1[j1] - g1, g.z2[j2] - g2)))
+                        for j1, j2 in zip(i1, i2))
+            got = cgo.alias_margin(ComplexField(g, vals), p)
+            assert got == pytest.approx(brute - cgo.ALIAS_CLEARANCE, abs=1e-12)
+
+    def test_zero_potential_has_nothing_to_alias(self, grid128):
+        assert cgo.alias_margin(ComplexField.zeros(grid128), PhaseParams(64.0, (0, 0))) == np.inf
 
 
 class TestSolveW:
@@ -238,7 +292,8 @@ class TestHsNorm:
 def _s1_uncached(F, p):
     """(1/4) dzbar_inv[e^{-i lam phi} dz_inv[e^{i lam phi} F]], every factor built afresh."""
     g = F.grid
-    phase = np.exp(1j * p.lam * cgo.phi_values(g, p.x))
+    phase = (np.exp(-1j * p.lam * (g.z2 - p.x[1]) ** 2)[:, None]
+             * np.exp(1j * p.lam * (g.z1 - p.x[0]) ** 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         m_z = 1.0 / (0.5j * (g.XI1 - 1j * g.XI2))
         m_zbar = 1.0 / (0.5j * (g.XI1 + 1j * g.XI2))
@@ -316,12 +371,12 @@ class TestCaches:
         # each sweep thread keeps its own phase: jobs=2 builds no more than jobs=1
         builds = []
 
-        def counted(grid, x):
-            builds.append(x)
-            return phi_values(grid, x)
+        def counted(t, c, lam):
+            builds.append(c)
+            return chirp(t, c, lam)
 
-        phi_values = cgo.phi_values
-        monkeypatch.setattr(cgo, "phi_values", counted)
+        chirp = cgo._chirp
+        monkeypatch.setattr(cgo, "_chirp", counted)
         params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0, 48.0, 64.0],
                   "mask_grid": None}
         counts, outs = [], []

@@ -6,11 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+from cgoplane.cgo import PhaseParams, alias_margin
 from cgoplane.cli import main as cli_main
 from cgoplane.errors import BlobFormatError, ConfigError
-from cgoplane.experiments import (_FF_MAGIC, ExperimentConfig, _save_far_field, load_far_field,
+from cgoplane.experiments import (_FF_MAGIC, PWC_DISK_POTENTIAL, ExperimentConfig,
+                                  _save_far_field, load_far_field,
                                   run_counterexample, run_lemma_checks,
                                   run_scatter, run_stability, schedule_lambda)
+from cgoplane.grid import FourierGrid
+from cgoplane.potentials import potential_from_description, rasterize
 from cgoplane.scattering import FarFieldData
 from cgoplane.utils import write_blob, write_json
 
@@ -188,6 +192,23 @@ class TestLemmaRunner:
 
 
 class TestCli:
+    def test_convergence_records_and_prints_the_worst_alias_margin(self, tmp_path, capsys):
+        lams = [24.0, 32.0, 48.0]
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({
+            "params": {"variant": "pwc-disk", "lambdas": lams, "mask_grid": None}}))
+        out_dir = tmp_path / "o"
+        assert cli_main(["convergence", "--config", str(cfgfile),
+                         "--out", str(out_dir), "--grid", "64"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("x=")]
+        summary = json.loads((out_dir / "convergence_pwc-disk_summary.json").read_text())
+        V = rasterize(potential_from_description(PWC_DISK_POTENTIAL), FourierGrid(64, 4.0))
+        assert len(lines) == len(summary["per_point"]) > 0
+        for line, e in zip(lines, summary["per_point"]):
+            assert e["alias_margin"] == min(
+                alias_margin(V, PhaseParams(lam, tuple(e["x"]))) for lam in lams)
+            assert line.endswith(f"alias margin {e['alias_margin']:.3f}")
+
     def test_counterexample_subcommand(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
