@@ -31,9 +31,10 @@ The correction field w = w_{lambda,x} solves the fixed-point equation
     w = (1/4) * dzbar_inv[ e^{-i lam phi} * dz_inv[ e^{+i lam phi} * V (1 + w) ] ],
 
 iterated by plain Picard; failure to contract signals that lambda is below
-the contraction threshold for the given potential.  One S1 pass works on two
-arrays it allocates itself: each forward/inverse FFT pair transforms its work
-array in place (``overwrite_x``), and the multipliers and phases are applied
+the contraction threshold for the given potential.  Every periodic inverse
+is one kernel, _periodic_inverse.  One S1 pass works on two arrays it
+allocates itself: each forward/inverse FFT pair transforms its work array in
+place (``overwrite_x``), and the multipliers and phases are applied
 with in-place products whose output is their first operand, so every value is
 bit-identical to the out-of-place composition of phase_mul, dz_inv and
 dzbar_inv.  Inputs are never written to.  The first transform acts on
@@ -85,12 +86,6 @@ def _dzbar_symbol(grid):
     return 0.5j * (grid.XI1 + 1j * grid.XI2)
 
 
-def _apply_multiplier(F: ComplexField, mult) -> ComplexField:
-    a = fft2(F.values)
-    a *= mult
-    return ComplexField(F.grid, ifft2(a, overwrite_x=True))
-
-
 @lru_cache(maxsize=4)
 def _inverse_multiplier(grid: FourierGrid, symbol) -> np.ndarray:
     """1/symbol(grid), 0 at xi = 0; built once per (grid, symbol), read-only."""
@@ -105,6 +100,17 @@ def _inverse_multiplier(grid: FourierGrid, symbol) -> np.ndarray:
     return mult
 
 
+def _periodic_inverse(a, grid, symbol, overwrite_x=False):
+    """ifft2(fft2(a) / symbol), the one periodic inverse; overwrite_x as for grid.fft2.
+
+    s1_apply calls it directly, not through dz_inv and dzbar_inv, so a trace of
+    those two sees only the inverses their own callers ask for.
+    """
+    spec = fft2(a, overwrite_x=overwrite_x)
+    spec *= _inverse_multiplier(grid, symbol)
+    return ifft2(spec, overwrite_x=True)
+
+
 def dz_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     """Periodic inverse of d/dz; zero frequency of the result is 0.
 
@@ -113,14 +119,14 @@ def dz_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     """
     if check_support:
         check_padding_support(F, SUPPORT_TOL)
-    return _apply_multiplier(F, _inverse_multiplier(F.grid, _dz_symbol))
+    return ComplexField(F.grid, _periodic_inverse(F.values, F.grid, _dz_symbol))
 
 
 def dzbar_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     """Periodic inverse of d/dzbar; mirror of dz_inv with the conjugate symbol."""
     if check_support:
         check_padding_support(F, SUPPORT_TOL)
-    return _apply_multiplier(F, _inverse_multiplier(F.grid, _dzbar_symbol))
+    return ComplexField(F.grid, _periodic_inverse(F.values, F.grid, _dzbar_symbol))
 
 
 def resolution_ok(grid: FourierGrid, lam: float) -> bool:
@@ -225,15 +231,10 @@ def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> Com
         check_padding_support(F, SUPPORT_TOL)
     _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
-    a = phase * F.values
-    a = fft2(a, overwrite_x=True)
-    a *= _inverse_multiplier(g, _dz_symbol)
-    a = ifft2(a, overwrite_x=True)
+    a = _periodic_inverse(phase * F.values, g, _dz_symbol, overwrite_x=True)
     b = np.conj(phase)
     b *= a
-    b = fft2(b, overwrite_x=True)
-    b *= _inverse_multiplier(g, _dzbar_symbol)
-    b = ifft2(b, overwrite_x=True)
+    b = _periodic_inverse(b, g, _dzbar_symbol, overwrite_x=True)
     b *= 0.25
     return ComplexField(g, b)
 
@@ -250,10 +251,7 @@ def s1_adjoint(F: ComplexField, p: PhaseParams) -> ComplexField:
     _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
     a = dz_inv(F, check_support=False).values
-    b = phase * a
-    b = fft2(b, overwrite_x=True)
-    b *= _inverse_multiplier(g, _dzbar_symbol)
-    b = ifft2(b, overwrite_x=True)
+    b = _periodic_inverse(phase * a, g, _dzbar_symbol, overwrite_x=True)
     np.conjugate(phase, out=a)
     a *= b
     a *= 0.25

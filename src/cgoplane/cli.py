@@ -15,7 +15,7 @@ def build_parser():
         description="Reconstruction experiments for piecewise-smooth planar potentials",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in ("counterexample", "convergence", "stability", "lemmas", "scatter"):
+    for name in RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; overrides the built-in defaults")

@@ -11,14 +11,20 @@ Schur complement on the boundary ring, complex-symmetric by construction (no
 conjugation), and the stored elimination gives the Dirichlet solve and the
 guard against 0 being a Dirichlet eigenvalue.
 
-Rings 1..k, up to the outermost interior ring k on which V is nonzero, are
-eliminated densely ring by ring; the stored ring solves S_i^{-1} C_i.  On the
-V-free rings k+1..n_r-1 the ring blocks are circulant, so the annulus is
-diagonal in the angular Fourier basis: one real tridiagonal (Thomas) solve in
-r per mode, the direct Poisson solver on the disk of Swarztrauber & Sweet
-(SIAM J. Numer. Anal. 10, 1973).  It couples to the dense part only through
-M = F S_k F^H - c_k^2 diag(g_11) at ring k, inverted once.  A potential that
-reaches ring n_r-1 leaves no annulus and is eliminated densely throughout.
+The elimination reads the stencil out of the assembled matrix once: the
+center entry and column, the ring-to-ring coupling diagonals, and per ring
+its diagonal d_i and its one angular coupling o_i, so a ring block is
+diag(d_i) + o_i (P + P^T) with P the cyclic shift.  Rings 1..k, up to the
+outermost interior ring k on which V is nonzero, are eliminated densely ring
+by ring; the stored ring solves S_i^{-1} C_i.  On the V-free rings k+1..n_r-1
+the ring blocks are circulant, so the annulus is diagonal in the angular
+Fourier basis: one real tridiagonal (Thomas) solve in r per mode, the direct
+Poisson solver on the disk of Swarztrauber & Sweet (SIAM J. Numer. Anal. 10,
+1973).  It couples to the dense part only through M = F S_k F^H - c_k^2
+diag(g_11) at ring k, inverted once.  A potential that reaches ring n_r-1
+leaves no annulus and is eliminated densely throughout.  The guard's estimate
+of ||A_II^{-1}||_1 is scipy's onenormest (t=1) through the stored
+elimination, with LAPACK's alternating-sign estimate as a floor.
 
 Matrices act on nodal boundary values; the boundary pairing uses the
 uniform arc weights of the mesh.  The H^{1/2} -> H^{-1/2} operator norm
@@ -107,6 +113,9 @@ class PolarOperator:
     mesh: BoundaryMesh
     n_r: int
     energy: sp.csr_matrix       # full (interior + boundary + center) energy matrix
+    a_cc: complex               # the center's diagonal entry A_cc
+    center_col: np.ndarray      # a: the center's coupling to ring 1
+    coupling: np.ndarray        # diagonals of C_1..C_{n_r-1} as rows
     interior_idx: np.ndarray
     boundary_idx: np.ndarray
     v_ring: int                 # k: the outermost interior ring with V != 0, at least 1
@@ -181,9 +190,10 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     else:
         v_nodes = np.asarray(V(z1, z2), dtype=np.complex128)
 
+    v_weight = v_nodes * node_weight
     rows.append(np.arange(n_dof))
     cols.append(np.arange(n_dof))
-    vals.append(v_nodes * node_weight)
+    vals.append(v_weight)
 
     rows = np.concatenate([np.asarray(r).ravel() for r in rows])
     cols = np.concatenate([np.asarray(c).ravel() for c in cols])
@@ -196,41 +206,41 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     v_rings = np.flatnonzero(v_nodes[:(n_r - 1) * m].reshape(n_r - 1, m).any(axis=1))
     k = int(v_rings[-1]) + 1 if len(v_rings) else 1
 
+    # the stencil as the elimination reads it, once: A_cc, the center column a, the
+    # couplings C_i to ring i+1 (node to node: the m-th superdiagonal), and per ring
+    # its diagonal d_i and its one angular coupling o_i
+    a_cc = energy[-1, -1]
+    a = energy[:m, -1].toarray().ravel()
+    coupling = energy.diagonal(m)[:-1].reshape(-1, m)
+    diag = energy.diagonal()[:-1].reshape(n_r, m)
+    o = energy.diagonal(1)[::m]
+    cyclic = np.roll(np.eye(m), 1, axis=1) + np.roll(np.eye(m), -1, axis=1)  # P + P^T
+    ring_block = lambda i: np.diag(diag[i - 1]) + o[i - 1] * cyclic  # noqa: E731
+
     # block Gaussian elimination from the center outward:
     # S_1 = A_11 - a a^T / A_cc, then S_{i+1} = A_{i+1,i+1} - C_i S_i^{-1} C_i
-    a_cc, a, coupling = _couplings(energy, m)
     n_dense = k - 1 if k < n_r - 1 else n_r - 1
     ring_solves = np.empty((n_dense, m, m), dtype=np.complex128)
     corr = np.outer(a, a) / a_cc  # what the rings inside take off the next ring block
     for i, c in enumerate(coupling[:n_dense], start=1):
-        schur = _ring_block(energy, m, i) - corr
+        schur = ring_block(i) - corr
         ring_solves[i - 1] = np.linalg.solve(schur, np.diag(c))
         corr = c[:, None] * ring_solves[i - 1]
     annulus = None
     if n_dense == n_r - 1:
-        schur = _ring_block(energy, m, n_r) - corr
+        schur = ring_block(n_r) - corr
     else:
         radial = -np.append(a[0], coupling[:, 0]).real  # c_{j+1/2}, j = 0 (center)..n_r-1
-        annulus, schur = _eliminate_annulus(energy, v_nodes * node_weight, radial, corr, k)
+        annulus, schur = _eliminate_annulus(diag, o, v_weight[:-1].reshape(n_r, m),
+                                            radial, corr, k)
 
-    op = PolarOperator(mesh=mesh, n_r=n_r, energy=energy,
-                       interior_idx=interior_idx, boundary_idx=boundary_idx, v_ring=k,
+    op = PolarOperator(mesh=mesh, n_r=n_r, energy=energy, a_cc=a_cc, center_col=a,
+                       coupling=coupling, interior_idx=interior_idx,
+                       boundary_idx=boundary_idx, v_ring=k,
                        ring_solves=ring_solves, annulus=annulus, schur=schur, node_r=node_r,
                        node_theta=node_theta, node_weight=node_weight, potential=v_nodes)
     _condition_guard(op)
     return op
-
-
-def _couplings(energy, m):
-    """A_cc, the center-to-ring-1 column a, and the diagonals of C_1..C_{n_r-1} as rows."""
-    a = energy[:m, -1].toarray().ravel()
-    # ring i couples to ring i+1 only node to node: the m-th superdiagonal
-    coupling = energy.diagonal(m)[:-1].reshape(-1, m)
-    return energy[-1, -1], a, coupling
-
-
-def _ring_block(energy, m, i):
-    return energy[(i - 1) * m:i * m, (i - 1) * m:i * m].toarray()
 
 
 def _chain(alpha, c):
@@ -250,23 +260,24 @@ def _chain(alpha, c):
     return q
 
 
-def _eliminate_annulus(energy, v_weight, c, corr, k):
+def _eliminate_annulus(diag, o, v_weight, c, corr, k):
     """Eliminate the V-free rings k+1..n_r-1 per Fourier mode, given S_k = A_kk - corr.
 
-    c[j] is the radial coupling c_{j+1/2} of ring j to ring j+1
-    (ring 0 is the center).  A ring block is diag(V w) (v_weight) plus the
-    stencil's circulant F^H diag(lambda_j) F, and each stencil row sums to
-    zero, so lambda_{j,n} = c_{j-1/2} + c_{j+1/2} + alpha_{j,n} with the
-    angular excess alpha_{j,n} = 4 |o_j| sin^2(pi n / m).  Returns the Annulus
-    and the boundary Schur complement
+    diag, o and v_weight hold one row (or entry) per ring 1..n_r: its
+    diagonal, its angular coupling o_j and its diag(V w).  c[j] is the radial
+    coupling c_{j+1/2} of ring j to ring j+1 (ring 0 is the center).  A ring
+    block is diag(V w) plus the stencil's circulant F^H diag(lambda_j) F, and
+    each stencil row sums to zero, so
+    lambda_{j,n} = c_{j-1/2} + c_{j+1/2} + alpha_{j,n} with the angular excess
+    alpha_{j,n} = 4 |o_j| sin^2(pi n / m).  Returns the Annulus and the
+    boundary Schur complement
     A_{n_r,n_r} - c_l^2 F^H [diag(g_LL) + c_k^2 diag(g_1L) M^{-1} diag(g_1L)] F,
     with the circulant parts taken per mode by _chain.
     """
     m = corr.shape[0]
     n_r = len(c)
-    rings = np.arange(k - 1, n_r) * m  # first dof of rings k..n_r
-    o = energy.diagonal(1)[rings].real
-    d = (energy.diagonal() - v_weight)[rings].real
+    o = o[k - 1:].real  # rings k..n_r
+    d = (diag[k - 1:, 0] - v_weight[k - 1:, 0]).real
     row_sum = d + 2 * o - c[k - 1:] - np.append(c[k:], 0.0)  # zero up to rounding
     alpha = row_sum[:, None] - 4 * o[:, None] * np.sin(np.pi * np.arange(m) / m) ** 2
     outward = _chain(alpha[1:], c[k:])                   # rings k+1..n_r
@@ -277,17 +288,16 @@ def _eliminate_annulus(energy, v_weight, c, corr, k):
     e_1[0] = 1.0
     first_col = _thomas(pivots, offdiag, e_1)
     g_1l = first_col[-1]
-    ring = lambda j: v_weight[(j - 1) * m:j * m]  # noqa: E731
 
     # M = F S_k F^H - c_k^2 diag(g_11), F the unitary DFT: only diag(V w) - corr
     # goes through the FFT
-    m_hat = np.fft.ifft(np.fft.fft(np.diag(ring(k)) - corr, axis=0, norm="ortho"),
+    m_hat = np.fft.ifft(np.fft.fft(np.diag(v_weight[k - 1]) - corr, axis=0, norm="ortho"),
                         axis=1, norm="ortho")
     m_hat[np.diag_indices(m)] += c[k - 1] + inward[-1]
     m_inv = np.linalg.inv(m_hat)
     # the boundary block less what the annulus takes off it is the circulant of outward[-1]
     cross = np.fft.ifft(g_1l[:, None] * m_inv * g_1l[None, :], axis=0, norm="ortho")
-    schur = (sla.circulant(np.fft.ifft(outward[-1])) + np.diag(ring(n_r))
+    schur = (sla.circulant(np.fft.ifft(outward[-1])) + np.diag(v_weight[-1])
              - (c[-1] * c[k]) ** 2 * np.fft.fft(cross, axis=1, norm="ortho"))
     return Annulus(pivots=pivots, offdiag=offdiag, first_col=first_col, m_inv=m_inv), schur
 
@@ -296,7 +306,7 @@ def _interior_solve(op: PolarOperator, b):
     """A_II^{-1} b, with b ordered like interior_idx (rings 1..n_r-1, then the center),
     by one forward and one backward sweep over the stored ring solves, with the
     annulus (if any) solved per Fourier mode in between."""
-    a_cc, a, coupling = _couplings(op.energy, op.mesh.n_nodes)
+    a_cc, a, coupling = op.a_cc, op.center_col, op.coupling
     k = op.v_ring
     x = b[:-1].reshape(coupling.shape).astype(np.complex128)
     x[0] -= a * b[-1] / a_cc
@@ -320,30 +330,21 @@ def _interior_solve(op: PolarOperator, b):
 
 
 def _inverse_norm1_estimate(op: PolarOperator) -> float:
-    """Hager-Higham lower estimate of ||A_II^{-1}||_1, as LAPACK's xLACN2 iterates it.
+    """Lower estimate of ||A_II^{-1}||_1: Hager's method (SIAM J. Sci. Stat. Comput. 5,
+    1984) as scipy's onenormest runs it (Higham & Tisseur, SIAM J. Matrix Anal.
+    Appl. 21, 2000).
 
-    Deterministic: it starts at e/n, takes at most 5 steps and ends with the
-    alternating-sign vector.  A_II is complex symmetric, so
-    A_II^{-H} b = conj(A_II^{-1} conj(b)).
+    One column (t=1) starts at e/n and draws no random vectors, so the estimate
+    is deterministic.  A_II is complex symmetric, so
+    A_II^{-H} b = conj(A_II^{-1} conj(b)).  As in LAPACK's xLACN2, the
+    alternating-sign vector's estimate is a floor under the iteration's.
     """
     n = len(op.interior_idx)
-    solve = lambda b: _interior_solve(op, b)  # noqa: E731
-    adjoint_solve = lambda b: np.conj(_interior_solve(op, np.conj(b)))  # noqa: E731
-    sign = lambda y: np.divide(y, np.abs(y), out=np.ones_like(y), where=y != 0)  # noqa: E731
-    y = solve(np.full(n, 1.0 / n))
-    est = np.abs(y).sum()
-    j = np.argmax(np.abs(adjoint_solve(sign(y))))
-    for _ in range(4):
-        y = solve(np.eye(1, n, j)[0])
-        est_old, est = est, max(est, np.abs(y).sum())
-        if est <= est_old:
-            break
-        z = np.abs(adjoint_solve(sign(y)))
-        j_last, j = j, np.argmax(z)
-        if z[j_last] == z[j]:
-            break
+    solve = lambda b: _interior_solve(op, b.ravel())  # noqa: E731
+    inverse = spla.LinearOperator((n, n), matvec=solve, dtype=np.complex128,
+                                  rmatvec=lambda b: np.conj(solve(np.conj(b))))
     alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1))
-    return float(max(est, 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
+    return float(max(spla.onenormest(inverse, t=1), 2.0 * np.abs(solve(alt)).sum() / (3 * n)))
 
 
 def _condition_guard(op: PolarOperator) -> float:

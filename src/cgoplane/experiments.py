@@ -406,8 +406,8 @@ def stability_defaults() -> dict:
 
 def schedule_lambda(gap: float, diameter: float):
     """Log schedule lam = -ln(gap) / (6 d^2); a vanished gap licenses any lam."""
-    if gap < 0:
-        raise ConfigError("DtN gap must be nonnegative")
+    if not gap >= 0:
+        raise ConfigError(f"DtN gap must be a nonnegative number, not {gap}")
     if gap >= 1:
         raise ConfigError("DtN gap >= 1: potentials are not close; schedule undefined")
     if gap == 0.0:
@@ -453,10 +453,6 @@ def run_stability(cfg: ExperimentConfig) -> dict:
         clamped = lam > lam_max
         lam_used = min(lam, lam_max)
         residual = 0.0 if clamped else abs(lam_used - (-np.log(gap) / (6 * diameter**2)))
-        if not np.isfinite(lam):
-            clamped = True
-            lam_used = lam_max
-            residual = 0.0
 
         boundaries = [V1_pw.pieces[0][1].boundary, V2_pw.pieces[0][1].boundary]
         wm = build_error_weight_map(probes, boundaries, exclusion_band=2 * g.h)

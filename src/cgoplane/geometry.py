@@ -221,8 +221,7 @@ class SubDomain:
     boundary.
     """
 
-    def __init__(self, boundary: PiecewiseBoundary, inside: Callable | None = None,
-                 validate: bool = True):
+    def __init__(self, boundary: PiecewiseBoundary, inside: Callable | None = None):
         self.boundary = boundary
         self._poly = boundary.polyline(256)
         if inside is None:
@@ -230,8 +229,7 @@ class SubDomain:
             inside = lambda q1, q2: _even_odd_inside(poly, q1, q2)  # noqa: E731
         self.inside = inside
         self.area = self._shoelace()
-        if validate:
-            self._check_predicate()
+        self._check_predicate()
 
     def _shoelace(self) -> float:
         p = self._poly

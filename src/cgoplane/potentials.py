@@ -64,12 +64,12 @@ class PiecewisePotential:
                 out = out + np.where(mask, vals, 0.0)
         return out
 
-    def max_abs(self, n_probe: int = 96) -> float:
-        """Max |V| over probe lattices covering the piece domains."""
+    def max_abs(self) -> float:
+        """Max |V| over a 96 x 96 probe lattice on each piece domain's bounding box."""
         m = 0.0
         for q, dom in self.pieces:
             x0, x1, y0, y1 = dom.bbox()
-            g1, g2 = np.meshgrid(np.linspace(x0, x1, n_probe), np.linspace(y0, y1, n_probe))
+            g1, g2 = np.meshgrid(np.linspace(x0, x1, 96), np.linspace(y0, y1, 96))
             vals = self(g1, g2)
             m = max(m, float(np.max(np.abs(vals))))
         return m

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from cgoplane.dtn import (BoundaryMesh, _condition_guard, _interior_solve,
-                          assemble_polar_operator, cache_key, dtn_matrix, dtn_matrix_cached,
+                          _inverse_norm1_estimate, assemble_polar_operator, cache_key, dtn_matrix, dtn_matrix_cached,
                           dtn_opnorm_diff, load_dtn, save_dtn, solve_dirichlet)
 from cgoplane.errors import BlobFormatError, MeshMismatch, NearSingular
 from cgoplane.grid import ComplexField, FourierGrid
@@ -278,6 +278,25 @@ class TestAnnulusSingularityGuard:
         op = assemble_polar_operator(self.potential(mu1 + shift), BoundaryMesh(n_nodes=64),
                                      n_r=32)
         assert op.annulus is not None
+
+
+class TestInverseNormEstimate:
+    """The guard's estimate of ||A_II^{-1}||_1 against the norm of a dense inverse."""
+
+    POTENTIALS = {
+        "gaussian": lambda Z1, Z2: (2.0 - 1.5j) * np.exp(-((Z1 - 0.2)**2 + Z2**2) / 0.1),
+        "disk": lambda Z1, Z2: np.where(Z1**2 + Z2**2 <= 0.25, 3.0 + 1.0j, 0.0),
+        "zero": None,
+    }
+
+    @pytest.mark.parametrize("n_r", [16, 32])
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_estimate_meets_the_exact_norm(self, name, n_r):
+        op = assemble_polar_operator(self.POTENTIALS[name], BoundaryMesh(n_nodes=64), n_r=n_r)
+        assert (op.annulus is None) == (name == "gaussian")  # both elimination paths
+        a_ii = op.energy[op.interior_idx][:, op.interior_idx].toarray()
+        exact = np.abs(np.linalg.inv(a_ii)).sum(axis=0).max()
+        assert 0.99 <= _inverse_norm1_estimate(op) / exact <= 1 + 1e-10
 
 
 def _dense_defects(op, rng):

@@ -46,10 +46,9 @@ class TestScheduleLambda:
 
     def test_guards(self):
         assert schedule_lambda(0.0, 1.0) == np.inf  # vanished gap: any lam allowed
-        with pytest.raises(ConfigError):
-            schedule_lambda(1.5, 1.0)
-        with pytest.raises(ConfigError):
-            schedule_lambda(-1e-3, 1.0)
+        for gap in (1.5, -1e-3, np.nan):
+            with pytest.raises(ConfigError):
+                schedule_lambda(gap, 1.0)
 
 
 def _small_ce_config(out, **extra):
