@@ -54,7 +54,6 @@ import numpy as np
 from .errors import NonConvergence
 from .grid import ComplexField, FourierGrid, check_padding_support, fft2, ifft2
 
-SUPPORT_TOL = 1e-6
 # distance a ghost stationary point must keep from the support of V (alias_margin)
 ALIAS_CLEARANCE = 0.1
 
@@ -118,14 +117,14 @@ def dz_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     Rejects fields whose support touches the padding band.
     """
     if check_support:
-        check_padding_support(F, SUPPORT_TOL)
+        check_padding_support(F)
     return ComplexField(F.grid, _periodic_inverse(F.values, F.grid, _dz_symbol))
 
 
 def dzbar_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     """Periodic inverse of d/dzbar; mirror of dz_inv with the conjugate symbol."""
     if check_support:
-        check_padding_support(F, SUPPORT_TOL)
+        check_padding_support(F)
     return ComplexField(F.grid, _periodic_inverse(F.values, F.grid, _dzbar_symbol))
 
 
@@ -228,7 +227,7 @@ def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> Com
     """
     g = F.grid
     if check_support:
-        check_padding_support(F, SUPPORT_TOL)
+        check_padding_support(F)
     _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
     a = _periodic_inverse(phase * F.values, g, _dz_symbol, overwrite_x=True)
@@ -273,7 +272,7 @@ def solve_w(
     for this potential) or max_iter is exhausted.
     """
     if check_support:
-        check_padding_support(V, SUPPORT_TOL, what="potential")
+        check_padding_support(V, what="potential")
     g = V.grid
     w = np.zeros((g.n_per_side, g.n_per_side), dtype=np.complex128)
     prev_step = np.inf

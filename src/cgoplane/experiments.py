@@ -2,19 +2,21 @@
 decay suite, and the fixed-energy scattering study.
 
 Each runner takes an ExperimentConfig, writes plot-ready CSV tables plus a
-JSON summary into the output directory, and returns the summary dict.  All
-randomness is seeded from the config, and CSV floats use shortest-roundtrip
-formatting, so identical configs give byte-identical outputs.
+JSON summary into the output directory, and returns the summary dict.  The
+config's ``params`` override the runner's defaults, and a key the runner does
+not read raises ConfigError before any work.  All randomness is seeded from
+the config, and CSV floats use shortest-roundtrip formatting, so identical
+configs give byte-identical outputs.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, svds
 
 from . import reference
 from .cgo import (PhaseParams, alias_margin, homogeneous_weight, hs_norm, phase_mul,
@@ -54,12 +56,17 @@ class ExperimentConfig:
         if ref is not None and not os.path.exists(ref):
             raise ConfigError(f"referenced description file does not exist: {ref}")
 
-    @classmethod
-    def from_json(cls, path, **overrides):
-        with open(path) as fh:
-            data = json.load(fh)
-        data.update(overrides)
-        return cls(**data)
+
+def _merge_params(cfg, defaults, extra=()):
+    """The runner's defaults overridden by ``cfg.params``.
+
+    A key outside the defaults and ``extra`` raises ConfigError, so a typo
+    cannot silently run the default.
+    """
+    unknown = sorted(set(cfg.params) - set(defaults) - set(extra))
+    if unknown:
+        raise ConfigError(f"unknown {cfg.name} params: {', '.join(unknown)}")
+    return {**defaults, **cfg.params}
 
 
 def _outdir(cfg):
@@ -102,7 +109,7 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     constant phase, and any other alignment turns the half-cell rasterization
     bias into a coherent error that grows linearly in lambda.
     """
-    params = {**counterexample_defaults(), **cfg.params}
+    params = _merge_params(cfg, counterexample_defaults())
     t_values = [float(t) for t in params["t_values"]]
     if any(not 0 < t < 2 for t in t_values):
         raise ConfigError("t values must lie in (0, 2)")
@@ -228,7 +235,7 @@ def convergence_defaults(variant="smooth-bump") -> dict:
 def run_convergence(cfg: ExperimentConfig) -> dict:
     """Error-vs-lambda tables and fitted slopes at probe points off the mask."""
     variant = cfg.params.get("variant", "smooth-bump")
-    params = {**convergence_defaults(variant), **cfg.params}
+    params = _merge_params(cfg, convergence_defaults(variant), extra=("potential_file",))
     n = cfg.grid_n
     side = float(params["side"])
     g = FourierGrid(n, side)
@@ -349,20 +356,6 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
 # stability experiment
 # ---------------------------------------------------------------------------
 
-@dataclass
-class StabilityRun:
-    """Per-delta stability measurements; lambda follows the log schedule."""
-
-    deltas: list
-    curve_distances: list
-    dtn_gaps: list
-    lambdas: list
-    lambda_clamped: list
-    sup_errors: list
-    moduli: list                 # |ln gap|^{1 - s/2}
-    schedule_residuals: list     # |lambda - (-ln gap)/(6 d^2)| unless clamped
-
-
 def _lens_potential_description(delta: float, half_width=0.08, height=0.04,
                                 bump_amp=0.02, q_value=(1.0, 0.2)) -> dict:
     """Lens bounded by two parabolic arcs; the top arc carries the perturbation.
@@ -417,7 +410,7 @@ def schedule_lambda(gap: float, diameter: float):
 
 def run_stability(cfg: ExperimentConfig) -> dict:
     """Perturb the discontinuity curve, track DtN gap, schedule lambda, reconstruct."""
-    params = {**stability_defaults(), **cfg.params}
+    params = _merge_params(cfg, stability_defaults())
     lens = params["lens"]
     deltas = [float(d) for d in params["deltas"]]
     radius = float(params["disk_radius"])
@@ -435,9 +428,11 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     A1 = dtn_matrix(V1_pw, mesh, n_r=n_r, potential_tag="lens-base")
 
     probes = np.asarray(params["probes"], float)
-    run = StabilityRun(deltas=[], curve_distances=[], dtn_gaps=[], lambdas=[],
-                       lambda_clamped=[], sup_errors=[], moduli=[],
-                       schedule_residuals=[])
+    # per-delta measurements; moduli are |ln gap|^{1 - s/2}, schedule residuals
+    # |lambda - (-ln gap)/(6 d^2)| unless clamped
+    run = {key: [] for key in ("deltas", "curve_distances", "dtn_gaps", "lambdas",
+                               "lambda_clamped", "sup_errors", "moduli",
+                               "schedule_residuals")}
     s_index = V1_pw.s
     rows = []
     for delta in deltas:
@@ -467,16 +462,16 @@ def run_stability(cfg: ExperimentConfig) -> dict:
             sup_err = max(sup_err, abs(r1 - r2))
             rows.append((delta, x[0], x[1], lam_used, r1.real, r1.imag,
                          r2.real, r2.imag, abs(r1 - r2)))
-        run.deltas.append(delta)
-        run.curve_distances.append(float(cdist))
-        run.dtn_gaps.append(float(gap))
-        run.lambdas.append(float(lam_used))
-        run.lambda_clamped.append(bool(clamped))
-        run.sup_errors.append(float(sup_err))
+        run["deltas"].append(delta)
+        run["curve_distances"].append(float(cdist))
+        run["dtn_gaps"].append(float(gap))
+        run["lambdas"].append(float(lam_used))
+        run["lambda_clamped"].append(bool(clamped))
+        run["sup_errors"].append(float(sup_err))
         # |ln 0| = inf, and inf ** (1 - s/2) is the gap -> 0 limit of the modulus
         log_gap = abs(np.log(gap)) if gap > 0 else np.inf
-        run.moduli.append(float(log_gap ** (1 - s_index / 2)))
-        run.schedule_residuals.append(float(residual))
+        run["moduli"].append(float(log_gap ** (1 - s_index / 2)))
+        run["schedule_residuals"].append(float(residual))
 
     write_csv(os.path.join(out, "stability_probes.csv"),
               ["delta", "x1", "x2", "lambda", "re_recon1", "im_recon1",
@@ -484,11 +479,9 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     write_csv(os.path.join(out, "stability_trend.csv"),
               ["delta", "curve_distance_c2", "dtn_gap", "lambda", "clamped",
                "modulus", "sup_error"],
-              [(d, c, gp, l, cl, m, e) for d, c, gp, l, cl, m, e in
-               zip(run.deltas, run.curve_distances, run.dtn_gaps, run.lambdas,
-                   run.lambda_clamped, run.moduli, run.sup_errors)])
-    summary = {"experiment": "stability", "diameter": diameter, "s": s_index,
-               "run": asdict(run)}
+              zip(*(run[key] for key in ("deltas", "curve_distances", "dtn_gaps", "lambdas",
+                                         "lambda_clamped", "moduli", "sup_errors"))))
+    summary = {"experiment": "stability", "diameter": diameter, "s": s_index, "run": run}
     write_json(os.path.join(out, "stability_summary.json"), summary)
     return summary
 
@@ -524,37 +517,30 @@ def _critical_field(g, rng, s, amp=1.0):
     return ComplexField(g, f / np.max(np.abs(f)) * amp)
 
 
-def _s1_opnorm(g, lam, s1, s2, rng, iters=25, seeds=2):
-    """|| W_{s2} S1 W_{s1}^{-1} ||_2 by power iteration on the normal operator."""
+def _s1_opnorm(g, lam, s1, s2, rng):
+    """|| W_{s2} S1 W_{s1}^{-1} ||_2 on Fourier coefficients, by ARPACK (scipy svds).
+
+    The start vector comes from ``rng``, so the value is reproducible.
+    """
     p = PhaseParams(lam, (0.03, -0.02))
     w_out = homogeneous_weight(g, s2)
     w_in_inv = homogeneous_weight(g, -s1)
     n = g.n_per_side
 
+    # ARPACK hands over (N, 1) columns: reshape them to the grid before
+    # weighting, or they broadcast against it
     def fwd(v):
-        f = s1_apply(ComplexField(g, ifft2(w_in_inv * v)), p, check_support=False)
-        return w_out * fft2(f.values)
+        f = s1_apply(ComplexField(g, ifft2(w_in_inv * v.reshape(n, n))), p,
+                     check_support=False)
+        return (w_out * fft2(f.values)).ravel()
 
     def adj(v):
-        f = s1_adjoint(ComplexField(g, ifft2(w_out * v)), p)
-        return w_in_inv * fft2(f.values)
+        f = s1_adjoint(ComplexField(g, ifft2(w_out * v.reshape(n, n))), p)
+        return (w_in_inv * fft2(f.values)).ravel()
 
-    best = 0.0
-    for _ in range(seeds):
-        v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        v[0, 0] = 0.0
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(iters):
-            fv = fwd(v)
-            sigma = np.linalg.norm(fv)
-            bv = adj(fv)
-            nv = np.linalg.norm(bv)
-            if nv == 0:
-                break
-            v = bv / nv
-        best = max(best, sigma)
-    return best
+    op = LinearOperator((n * n, n * n), matvec=fwd, rmatvec=adj, dtype=complex)
+    v0 = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    return float(svds(op, k=1, v0=v0, return_singular_vectors=False)[0])
 
 
 def lemma_defaults() -> dict:
@@ -570,98 +556,83 @@ def lemma_defaults() -> dict:
 
 def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     """One decay/growth fit per lemma against its slope budget."""
-    params = {**lemma_defaults(), **cfg.params}
+    params = _merge_params(cfg, lemma_defaults())
     fac = float(params["lambda_factor"])
     g = FourierGrid(cfg.grid_n, float(params["side"]))
     rng = np.random.default_rng(cfg.seed)
     probes = [tuple(p) for p in params["phase_probes"]]
     checks = []
 
-    def record(name, lams, values, slope, budget_lo, budget_hi, note=""):
+    def record(name, lams, values, budget_lo, budget_hi, note="", fit=fit_loglog_slope):
         # budget_lo None: one-sided budget; slope None: too few positive values
+        slope = fit(lams, values)
         passed = (slope is not None and slope <= budget_hi
                   and (budget_lo is None or budget_lo <= slope))
         checks.append({"name": name, "lambdas": list(lams), "values": list(values),
                        "slope": slope, "budget": [budget_lo, budget_hi],
                        "passed": passed, "note": note})
 
-    # phase multiplication decay, band-limited fields
     s = 0.25
+
+    def dual_norm(p, F):
+        # || e^{i lam phi} F - mean ||_{H^{-s}}
+        MF = phase_mul(F, p, +1)
+        return hs_norm(MF - MF.mean(), -s)
+
+    # phase multiplication decay, band-limited fields
     lams = [v * fac for v in (16.0, 32.0, 64.0, 128.0, 256.0)]
     ratios = []
     for lam in lams:
         vals = []
         for _ in range(5):
             F = _bandlimited_field(g, rng, xi_max=10.0)
-            p = PhaseParams(lam, (0.05, -0.03))
-            MF = phase_mul(F, p, +1)
-            MF = MF - MF.mean()
-            vals.append(hs_norm(MF, -s) / hs_norm(F, s))
+            vals.append(dual_norm(PhaseParams(lam, (0.05, -0.03)), F) / hs_norm(F, s))
         ratios.append(float(np.mean(vals)))
-    sl = fit_loglog_slope(lams, ratios)
-    record("phase_mul_duality_decay", lams, ratios, sl, -s - 0.2, -s + 0.2)
+    record("phase_mul_duality_decay", lams, ratios, -s - 0.2, -s + 0.2)
 
-    # smoothing-operator norms by power iteration
+    # smoothing-operator norms, largest singular value by ARPACK
     for (s1, s2) in ((0.25, 0.5), (0.5, 0.25)):
         tau = 1.0 - s2 + min(s1, s2)
         norms = [_s1_opnorm(g, lam, s1, s2, rng) for lam in lams]
-        sl = fit_loglog_slope(lams, norms)
-        record(f"smoothing_opnorm_{s1}_{s2}", lams, norms, sl, -tau - 0.2, -tau + 0.2)
+        record(f"smoothing_opnorm_{s1}_{s2}", lams, norms, -tau - 0.2, -tau + 0.2)
 
-    # oscillatory functional of the correction field, operator-norm realization
+    # correction-field functionals: for each lam, the mean over three seeded
+    # draws of critical fields of the sup over the phase probes
     lams2 = [v * fac for v in (64.0, 128.0, 256.0, 512.0)]
-    sup_by_lam = {lam: [] for lam in lams2}
-    for seed_off in range(3):
-        rng_c = np.random.default_rng(cfg.seed + 1000 + seed_off)
-        V = _critical_field(g, rng_c, s, 0.8)
-        for lam in lams2:
-            best = 0.0
-            for x in probes:
-                p = PhaseParams(lam, x)
-                w = solve_w(V, p, check_support=False)
-                mw = phase_mul(w, p, +1)
-                mw = mw - mw.mean()
-                best = max(best, lam / np.pi * hs_norm(mw, -s))
-            sup_by_lam[lam].append(best)
-    vals = [float(np.mean(sup_by_lam[lam])) for lam in lams2]
-    sl = fit_loglog_slope(lams2, vals)
-    record("correction_functional_decay", lams2, vals, sl, -s - 0.2, -s + 0.2,
-           note="sup over unit test fields via the dual norm")
+
+    def functional_sweep(seed_base, n_fields, functional):
+        sups = {lam: [] for lam in lams2}
+        for seed_off in range(3):
+            rng_c = np.random.default_rng(cfg.seed + seed_base + seed_off)
+            fields = [_critical_field(g, rng_c, s, 0.8) for _ in range(n_fields)]
+            for lam in lams2:
+                sups[lam].append(max(
+                    lam / np.pi * functional(p, *(solve_w(V, p, check_support=False)
+                                                  for V in fields))
+                    for p in (PhaseParams(lam, x) for x in probes)))
+        return [float(np.mean(sups[lam])) for lam in lams2]
+
+    record("correction_functional_decay", lams2, functional_sweep(1000, 1, dual_norm),
+           -s - 0.2, -s + 0.2, note="sup over unit test fields via the dual norm")
 
     # two-correction functional decay; sup over unit L^2 test fields is the
     # grid L^2 norm of the product (the phase carries modulus one).  Faster
     # decay than the -2s rate cannot be ruled in, so the budget is one-sided.
-    sup41 = {lam: [] for lam in lams2}
-    for seed_off in range(3):
-        rng_c = np.random.default_rng(cfg.seed + 2000 + seed_off)
-        V1 = _critical_field(g, rng_c, s, 0.8)
-        V2 = _critical_field(g, rng_c, s, 0.8)
-        for lam in lams2:
-            best = 0.0
-            for x in probes:
-                p = PhaseParams(lam, x)
-                w1 = solve_w(V1, p, check_support=False)
-                w2 = solve_w(V2, p, check_support=False)
-                prod = ComplexField(g, w1.values * w2.values)
-                best = max(best, lam / np.pi * prod.l2_norm())
-            sup41[lam].append(best)
-    vals41 = [float(np.mean(sup41[lam])) for lam in lams2]
-    sl41 = fit_loglog_slope(lams2, vals41)
-    record("double_correction_decay", lams2, vals41, sl41, None, -2 * s + 0.2,
+    vals = functional_sweep(
+        2000, 2, lambda p, w1, w2: ComplexField(g, w1.values * w2.values).l2_norm())
+    record("double_correction_decay", lams2, vals, None, -2 * s + 0.2,
            note="sup over unit test fields via the dual norm; one-sided budget")
 
     # 1D oscillatory integrals
     lams3 = [v * fac for v in (100.0, 316.23, 1000.0, 3162.3, 10000.0)]
     gb = FunctionBundle(lambda t: t**2, lambda t: 2 * t, lambda t: 2 + 0 * t, (-1.0, 1.0))
     h1 = lambda t: np.exp(-t**2) * (1 + 0.3 * t)  # noqa: E731
-    vals_s = [abs(osc_integral_1d(gb, h1, lam)) for lam in lams3]
-    sl_s = fit_loglog_slope(lams3, vals_s)
-    record("osc1d_one_stationary_point", lams3, vals_s, sl_s, -0.6, -0.4)
+    record("osc1d_one_stationary_point", lams3,
+           [abs(osc_integral_1d(gb, h1, lam)) for lam in lams3], -0.6, -0.4)
     gb2 = FunctionBundle(lambda t: t, lambda t: 1 + 0 * t, lambda t: 0 * t, (0.0, 3.0))
     h2 = lambda t: np.exp(-t)  # noqa: E731
-    vals_n = [abs(osc_integral_1d(gb2, h2, lam)) for lam in lams3]
-    sl_n = fit_loglog_slope(lams3, vals_n)
-    record("osc1d_no_stationary_point", lams3, vals_n, sl_n, -1.1, -0.9)
+    record("osc1d_no_stationary_point", lams3,
+           [abs(osc_integral_1d(gb2, h2, lam)) for lam in lams3], -1.1, -0.9)
 
     # exponential growth of the special solutions through the forward solver
     gr = params["growth"]
@@ -680,10 +651,9 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
         tr = bukhgeim_trace(Vg, p, mesh)
         sol = solve_dirichlet(None, tr, mesh, op=op)
         h1s.append(sol.h1_norm())
-    growth_slope = fit_linear_slope(lams4, np.log(h1s))
-    budget = 1.1 * (2 * radius) ** 2
-    record("special_solution_growth", lams4, h1s, growth_slope, None, budget,
-           note="linear fit of log H^1 norm vs lambda")
+    record("special_solution_growth", lams4, h1s, None, 1.1 * (2 * radius) ** 2,
+           note="linear fit of log H^1 norm vs lambda",
+           fit=lambda lams, vals: fit_linear_slope(lams, np.log(vals)))
 
     out = _outdir(cfg)
     write_csv(os.path.join(out, "lemma_checks.csv"),
@@ -715,7 +685,7 @@ def scatter_defaults() -> dict:
 
 def run_scatter(cfg: ExperimentConfig) -> dict:
     """Born-regime far-field check, angular dataset, and the weighted norm."""
-    params = {**scatter_defaults(), **cfg.params}
+    params = _merge_params(cfg, scatter_defaults())
     k = float(params["k"])
     sig = float(params["sigma"])
     nys_n = int(params["nystrom_n"])

@@ -17,6 +17,12 @@ from scipy.interpolate import CubicSpline
 
 _ENDPOINT_TOL = 1e-10
 _CONSISTENCY_TOL = 1e-4
+# sample counts of the setup-time checks and of the distance polyline
+_CONSISTENCY_PROBES = 33     # interior probes per segment, derivative check
+_SIMPLE_PTS_PER_SEG = 64     # polyline points per segment, self-intersection check
+_DISTANCE_PTS_PER_SEG = 512  # polyline points per segment, distance_to
+_PREDICATE_N = 24            # lattice points per side, inside-predicate check
+_C2_PROBES = 512             # probes per segment, curve_distance_c2
 
 
 @dataclass(frozen=True)
@@ -43,11 +49,11 @@ class GraphSegment:
         object.__setattr__(self, "interval", (float(a), float(b)))
         self._check_consistency()
 
-    def _check_consistency(self, n_probe: int = 33):
+    def _check_consistency(self):
         a, b = self.interval
         span = b - a
         # probe strictly inside so one-sided effects do not pollute the check
-        tau = a + span * (np.arange(1, n_probe + 1) / (n_probe + 1))
+        tau = a + span * (np.arange(1, _CONSISTENCY_PROBES + 1) / (_CONSISTENCY_PROBES + 1))
         delta = 1e-5 * span
         for fn, dfn, name in ((self.f, self.df, "df"), (self.df, self.d2f, "d2f")):
             fd = (np.asarray(fn(tau + delta)) - np.asarray(fn(tau - delta))) / (2 * delta)
@@ -137,8 +143,8 @@ class PiecewiseBoundary:
             pts.append(p[:-1])  # drop endpoint, next segment re-adds it
         return np.concatenate(pts, axis=0)
 
-    def _check_simple(self, n_per_seg: int = 64):
-        pts = self.polyline(n_per_seg)
+    def _check_simple(self):
+        pts = self.polyline(_SIMPLE_PTS_PER_SEG)
         a = pts
         b = np.roll(pts, -1, axis=0)
         n = len(pts)
@@ -167,10 +173,10 @@ class PiecewiseBoundary:
         d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
         return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
 
-    def distance_to(self, points, n_per_seg: int = 512) -> np.ndarray:
+    def distance_to(self, points) -> np.ndarray:
         """Distance from query points (..., 2) to the densified curve."""
         pts = np.atleast_2d(np.asarray(points, float))
-        poly = self.polyline(n_per_seg)
+        poly = self.polyline(_DISTANCE_PTS_PER_SEG)
         d = np.sqrt(
             (pts[:, None, 0] - poly[None, :, 0]) ** 2
             + (pts[:, None, 1] - poly[None, :, 1]) ** 2
@@ -241,12 +247,12 @@ class SubDomain:
         p = self._poly
         return (p[:, 0].min(), p[:, 0].max(), p[:, 1].min(), p[:, 1].max())
 
-    def _check_predicate(self, n: int = 24):
+    def _check_predicate(self):
         """Predicate must agree with the winding test away from the curve."""
         x0, x1, y0, y1 = self.bbox()
         pad = 0.05 * max(x1 - x0, y1 - y0)
-        q1, q2 = np.meshgrid(np.linspace(x0 - pad, x1 + pad, n),
-                             np.linspace(y0 - pad, y1 + pad, n))
+        q1, q2 = np.meshgrid(np.linspace(x0 - pad, x1 + pad, _PREDICATE_N),
+                             np.linspace(y0 - pad, y1 + pad, _PREDICATE_N))
         ref = _even_odd_inside(self._poly, q1, q2)
         got = np.asarray(self.inside(q1, q2), bool)
         pts = np.stack([q1.ravel(), q2.ravel()], axis=-1)
@@ -293,8 +299,7 @@ def make_disk(center=(0.0, 0.0), radius=1.0) -> SubDomain:
     return SubDomain(boundary, inside=inside)
 
 
-def curve_distance_c2(c1: PiecewiseBoundary, c2: PiecewiseBoundary,
-                      n_probe: int = 512) -> float:
+def curve_distance_c2(c1: PiecewiseBoundary, c2: PiecewiseBoundary) -> float:
     """C^2 distance over a declared common cover, or inf when covers differ.
 
     Both boundaries must list the same number of segments with matching
@@ -311,7 +316,7 @@ def curve_distance_c2(c1: PiecewiseBoundary, c2: PiecewiseBoundary,
         if (abs(s1.interval[0] - s2.interval[0]) > 1e-9
                 or abs(s1.interval[1] - s2.interval[1]) > 1e-9):
             return math.inf
-        tau = s1.params(n_probe)
+        tau = s1.params(_C2_PROBES)
         for f1, f2 in ((s1.f, s2.f), (s1.df, s2.df), (s1.d2f, s2.d2f)):
             worst = max(worst, float(np.max(np.abs(np.asarray(f1(tau)) - np.asarray(f2(tau))))))
     return worst

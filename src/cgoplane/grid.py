@@ -33,6 +33,9 @@ from scipy import fft as _sfft
 
 from .errors import SupportViolation
 
+# relative magnitude in the padding band that check_padding_support calls support
+SUPPORT_TOL = 1e-6
+
 
 def _is_pow2(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
@@ -200,18 +203,18 @@ class ComplexField:
         return complex(self.grid.h**2 * np.sum(self.values))
 
 
-def check_padding_support(field: ComplexField, rel_tol: float = 1e-6, what: str = "field"):
+def check_padding_support(field: ComplexField, what: str = "field"):
     """Raise SupportViolation if the field has mass in the padding band.
 
-    The check is relative: band values above rel_tol * max|field| count as
+    The check is relative: band values above SUPPORT_TOL * max|field| count as
     support.  Zero fields pass trivially.
     """
     m = field.max_abs()
     if m == 0.0:
         return
     band_max = float(np.max(np.abs(field.values[field.grid.band_mask()])))
-    if band_max > rel_tol * m:
+    if band_max > SUPPORT_TOL * m:
         raise SupportViolation(
             f"{what} has relative magnitude {band_max / m:.3e} in the padding band "
-            f"(tolerance {rel_tol:.1e}); periodic wrap-around would corrupt the transform"
+            f"(tolerance {SUPPORT_TOL:.1e}); periodic wrap-around would corrupt the transform"
         )

@@ -14,25 +14,28 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import quad
 
+# oracle resolution: samples per oscillation of the phase, and v-rows per block
+_PTS_PER_OSC = 16
+_CHUNK_ROWS = 2048
 
-def brute_force_functional(lam: float, t: float, pts_per_osc: int = 16,
-                           chunk_rows: int = 2048) -> complex:
+
+def brute_force_functional(lam: float, t: float) -> complex:
     """2D Simpson quadrature of the oscillatory rhombus integral, rotated frame.
 
     Resolution follows the phase gradients: lam*(u+2t) along v and lam*v
-    along u, with ``pts_per_osc`` samples per oscillation.
+    along u, with ``_PTS_PER_OSC`` samples per oscillation.
     """
     grad_u = 2.0 * lam          # max |d phase / du| = lam * max v
     grad_v = lam * (2.0 + 2.0 * t)
-    n_u = int(max(pts_per_osc * grad_u * 2.0 / (2 * np.pi), 512)) | 1
-    n_v = int(max(pts_per_osc * grad_v * 2.0 / (2 * np.pi), 512)) | 1
+    n_u = int(max(_PTS_PER_OSC * grad_u * 2.0 / (2 * np.pi), 512)) | 1
+    n_v = int(max(_PTS_PER_OSC * grad_v * 2.0 / (2 * np.pi), 512)) | 1
     u = np.linspace(0.0, 2.0, n_u)
     v = np.linspace(0.0, 2.0, n_v)
     wu = _simpson_weights(n_u) * (2.0 / (n_u - 1))
     wv = _simpson_weights(n_v) * (2.0 / (n_v - 1))
     total = 0.0 + 0.0j
-    for lo in range(0, n_v, chunk_rows):
-        hi = min(lo + chunk_rows, n_v)
+    for lo in range(0, n_v, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n_v)
         block = np.exp(1j * lam * np.outer(v[lo:hi], u + 2.0 * t))
         total += (wv[lo:hi] @ block) @ wu
     return complex(lam / np.pi * 0.5 * total)
@@ -45,9 +48,9 @@ def _simpson_weights(n):
     return w / 3.0
 
 
-def oracle_limit(t: float, lams=(160.0, 224.0, 288.0), pts_per_osc: int = 16) -> complex:
+def oracle_limit(t: float, lams=(160.0, 224.0, 288.0)) -> complex:
     """Brute-force limit estimate: sweep-average of the oscillatory quadrature."""
-    vals = [brute_force_functional(lam, t, pts_per_osc=pts_per_osc) for lam in lams]
+    vals = [brute_force_functional(lam, t) for lam in lams]
     return complex(np.mean(vals))
 
 

@@ -6,15 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from cgoplane.cgo import PhaseParams, alias_margin
+from cgoplane.cgo import PhaseParams, alias_margin, homogeneous_weight, s1_apply
 from cgoplane.cli import main as cli_main
 from cgoplane.errors import BlobFormatError, ConfigError
-from cgoplane.experiments import (_FF_MAGIC, PWC_DISK_POTENTIAL, ExperimentConfig,
-                                  _save_far_field, load_far_field,
-                                  run_counterexample, run_lemma_checks,
+from cgoplane.experiments import (_FF_MAGIC, PWC_DISK_POTENTIAL, RUNNERS, ExperimentConfig,
+                                  _s1_opnorm, _save_far_field, load_far_field,
+                                  run_convergence, run_counterexample, run_lemma_checks,
                                   run_scatter, run_stability, schedule_lambda)
-from cgoplane.grid import FourierGrid
-from cgoplane.potentials import potential_from_description, rasterize
+from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
+from cgoplane.potentials import (potential_from_description, rasterize,
+                                 save_potential_description)
 from cgoplane.scattering import FarFieldData
 from cgoplane.utils import write_blob, write_json
 
@@ -28,13 +29,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", params={"potential_file": "/nope/none.json"})
 
-    def test_from_json_with_overrides(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"name": "lemmas", "grid_n": 64, "seed": 7}))
-        cfg = ExperimentConfig.from_json(path, out_dir=str(tmp_path / "o"))
-        assert cfg.grid_n == 64
-        assert cfg.seed == 7
-        assert cfg.out_dir.endswith("o")
+    @pytest.mark.parametrize("key", ["delta", "potential_file"])
+    def test_unknown_runner_param_refused(self, tmp_path, key):
+        # a typo of "deltas", and a key only convergence reads
+        path = tmp_path / "v.json"
+        save_potential_description(PWC_DISK_POTENTIAL, path)
+        value = str(path) if key == "potential_file" else [0.1]
+        cfg = ExperimentConfig(name="stability", out_dir=str(tmp_path / "o"), grid_n=64,
+                               params={key: value})
+        with pytest.raises(ConfigError, match=key):
+            run_stability(cfg)
+        assert not (tmp_path / "o").exists()
+
+    def test_convergence_reads_a_potential_file(self, tmp_path):
+        path = tmp_path / "v.json"
+        save_potential_description(PWC_DISK_POTENTIAL, path)
+        params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0], "mask_grid": None}
+        summaries = [run_convergence(ExperimentConfig(
+            name="convergence", out_dir=str(tmp_path / d), grid_n=64, params=extra))
+            for d, extra in (("a", params), ("b", {**params, "potential_file": str(path)}))]
+        assert summaries[0] == summaries[1]
 
 
 class TestScheduleLambda:
@@ -78,6 +92,14 @@ class TestDeterminism:
         b1 = (tmp_path / "a" / "stability_trend.csv").read_bytes()
         b2 = (tmp_path / "b" / "stability_trend.csv").read_bytes()
         assert b1 == b2
+
+    def test_lemmas_outputs_byte_identical(self, tmp_path):
+        # the smoothing-operator norms start ARPACK from a seeded vector
+        for d in ("a", "b"):
+            run_lemma_checks(ExperimentConfig(name="lemmas", out_dir=str(tmp_path / d),
+                                              grid_n=64))
+        for name in ("lemma_summary.json", "lemma_checks.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestJsonOutput:
@@ -176,6 +198,25 @@ class TestScatterRunner:
 
 
 class TestLemmaRunner:
+    @pytest.mark.parametrize("lam", [16.0, 64.0])
+    @pytest.mark.parametrize("s1, s2", [(0.25, 0.5), (0.5, 0.25)])
+    def test_s1_opnorm_is_the_dense_2_norm(self, lam, s1, s2):
+        # the weighted operator on Fourier coefficients, one column per unit vector
+        g = FourierGrid(32, 2.0)
+        p = PhaseParams(lam, (0.03, -0.02))
+        w_out, w_in_inv = homogeneous_weight(g, s2), homogeneous_weight(g, -s1)
+        M = np.empty((32 * 32, 32 * 32), complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lam = 64 is under-resolved here
+            for j in range(32 * 32):
+                e = np.zeros(32 * 32, complex)
+                e[j] = 1.0
+                f = s1_apply(ComplexField(g, ifft2(w_in_inv * e.reshape(32, 32))), p,
+                             check_support=False)
+                M[:, j] = (w_out * fft2(f.values)).ravel()
+            got = _s1_opnorm(g, lam, s1, s2, np.random.default_rng(0))
+        assert got == pytest.approx(np.linalg.norm(M, 2), rel=1e-12, abs=0)
+
     def test_zero_like_trivial(self, tmp_path):
         # smoke only: the full suite is exercised by the acceptance module
         cfg = ExperimentConfig(name="lemmas", out_dir=str(tmp_path), grid_n=64,
@@ -219,6 +260,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "rel err" in out
         assert (tmp_path / "o" / "counterexample_summary.json").exists()
+
+    def test_config_file_sets_grid_and_seed(self, tmp_path, monkeypatch):
+        seen = []
+
+        def runner(cfg):
+            seen.append(cfg)
+            return {"checks": []}
+
+        monkeypatch.setitem(RUNNERS, "lemmas", runner)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"grid_n": 64, "seed": 7}))
+        assert cli_main(["lemmas", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        assert cli_main(["lemmas", "--config", str(cfgfile), "--seed", "9"]) == 0
+        assert [(c.name, c.grid_n, c.seed, c.out_dir) for c in seen] == [
+            ("lemmas", 64, 7, str(tmp_path)), ("lemmas", 64, 9, "out_lemmas")]
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
