@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
+from .errors import ConfigError
 from .experiments import RUNNERS, ExperimentConfig
 
 
@@ -27,11 +29,20 @@ def build_parser():
 
 
 def config_from_args(args) -> ExperimentConfig:
-    data = {"name": args.experiment}
+    """The config file (if any) under the command-line flags; a bad file raises ConfigError."""
+    data = {}
     if args.config:
-        with open(args.config) as fh:
-            data.update(json.load(fh))
-        data["name"] = args.experiment
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config keys in {args.config}: {', '.join(unknown)}")
+    data["name"] = args.experiment
     if args.out is not None:
         data["out_dir"] = args.out
     if args.grid is not None:

@@ -49,6 +49,8 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be an object")
         sched = self.params.get("lambdas")
         if sched is not None and any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("lambda schedule must be strictly increasing")
@@ -57,16 +59,25 @@ class ExperimentConfig:
             raise ConfigError(f"referenced description file does not exist: {ref}")
 
 
-def _merge_params(cfg, defaults, extra=()):
+def _merge_params(cfg, defaults, extra=(), groups=()):
     """The runner's defaults overridden by ``cfg.params``.
 
     A key outside the defaults and ``extra`` raises ConfigError, so a typo
-    cannot silently run the default.
+    cannot silently run the default.  Each of ``groups`` is a nested dict
+    merged key by key over its default under the same rule.
     """
-    unknown = sorted(set(cfg.params) - set(defaults) - set(extra))
-    if unknown:
-        raise ConfigError(f"unknown {cfg.name} params: {', '.join(unknown)}")
-    return {**defaults, **cfg.params}
+    def merge(given, base, where, allowed=()):
+        unknown = sorted(set(given) - set(base) - set(allowed))
+        if unknown:
+            raise ConfigError(f"unknown {where} params: {', '.join(unknown)}")
+        return {**base, **given}
+
+    params = merge(cfg.params, defaults, cfg.name, extra)
+    for key in groups:
+        if not isinstance(params[key], dict):
+            raise ConfigError(f"{cfg.name} param {key} must be an object")
+        params[key] = merge(params[key], defaults[key], f"{cfg.name} {key}")
+    return params
 
 
 def _outdir(cfg):
@@ -96,7 +107,6 @@ def counterexample_defaults() -> dict:
     return {
         "t_values": [0.5, 1.0, 1.5],
         "lambdas": [8.0, 12.0, 16.0, 20.0],
-        "oracle_lambdas": [160.0, 224.0, 288.0],
         "side": 8.0,
         "potential": RHOMBUS_POTENTIAL,
     }
@@ -129,7 +139,7 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
         side_err = reference.side_phase_max_error(t)
         lint_quad, lint_closed = reference.diagonal_line_integral(t)
         sweep = lambda_sweep(V, x, lams, truth=0.0)
-        oracle = reference.oracle_limit(t, lams=tuple(params["oracle_lambdas"]))
+        oracle = reference.oracle_limit(t)
         cands = reference.candidate_constants(t)
         est = sweep.limit
         rel_oracle = abs(est - oracle) / abs(oracle)
@@ -356,8 +366,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
 # stability experiment
 # ---------------------------------------------------------------------------
 
-def _lens_potential_description(delta: float, half_width=0.08, height=0.04,
-                                bump_amp=0.02, q_value=(1.0, 0.2)) -> dict:
+def _lens_potential_description(delta: float, half_width, height, bump_amp, q_value) -> dict:
     """Lens bounded by two parabolic arcs; the top arc carries the perturbation.
 
     The perturbation bump (1 - (t/w)^2)^2 vanishes with its first derivative
@@ -410,7 +419,7 @@ def schedule_lambda(gap: float, diameter: float):
 
 def run_stability(cfg: ExperimentConfig) -> dict:
     """Perturb the discontinuity curve, track DtN gap, schedule lambda, reconstruct."""
-    params = _merge_params(cfg, stability_defaults())
+    params = _merge_params(cfg, stability_defaults(), groups=("lens",))
     lens = params["lens"]
     deltas = [float(d) for d in params["deltas"]]
     radius = float(params["disk_radius"])
@@ -556,7 +565,7 @@ def lemma_defaults() -> dict:
 
 def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     """One decay/growth fit per lemma against its slope budget."""
-    params = _merge_params(cfg, lemma_defaults())
+    params = _merge_params(cfg, lemma_defaults(), groups=("growth",))
     fac = float(params["lambda_factor"])
     g = FourierGrid(cfg.grid_n, float(params["side"]))
     rng = np.random.default_rng(cfg.seed)

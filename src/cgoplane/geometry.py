@@ -168,11 +168,6 @@ class PiecewiseBoundary:
             if np.any(hit):
                 raise ValueError("boundary polyline self-intersects; curve must be simple")
 
-    def total_polyline_length(self, n_per_seg: int = 512) -> float:
-        pts = self.polyline(n_per_seg)
-        d = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-        return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
     def distance_to(self, points) -> np.ndarray:
         """Distance from query points (..., 2) to the densified curve."""
         pts = np.atleast_2d(np.asarray(points, float))

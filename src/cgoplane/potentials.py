@@ -215,8 +215,3 @@ def potential_from_description(desc: dict) -> PiecewisePotential:
 def load_potential(path) -> PiecewisePotential:
     with open(path) as fh:
         return potential_from_description(json.load(fh))
-
-
-def save_potential_description(desc: dict, path):
-    with open(path, "w") as fh:
-        json.dump(desc, fh, indent=2, sort_keys=True, allow_nan=False)

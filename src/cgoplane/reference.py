@@ -3,55 +3,34 @@
 Everything here deliberately avoids the FFT/CGO machinery.  Coordinates
 rotate to u = z1 + z2, v = z1 - z2, where the rhombus with vertices (0,0),
 (1,1), (2,0), (1,-1) becomes the square [0,2]^2 with area element du dv / 2
-and the phase seen from x = (-t,-t) factors as (u + 2t) v.  The brute-force
-oracle is a plain 2D Simpson sum of the oscillatory integrand on that
-square.  In closed form the same integral reduces to sine/cosine integrals
-with the limit value i/(2 pi) * log(1 + 1/t), the corrected candidate below.
+and the phase seen from x = (-t,-t) factors as (u + 2t) v.  Integrating over
+v and substituting s = 2 lam (u + 2t) turns the functional into
+(1/2 pi i) int_a^b (e^{is} - 1) ds / s with a = 4 lam t, b = 4 lam (1 + t),
+which is exact in sine and cosine integrals (Abramowitz & Stegun 5.2; DLMF
+6.2).  Its lam -> infinity limit is i/(2 pi) * log(1 + 1/t), the corrected
+candidate below; the oracle is the finite-lam value averaged over
+``ORACLE_LAMBDAS``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import sici
 
-# oracle resolution: samples per oscillation of the phase, and v-rows per block
-_PTS_PER_OSC = 16
-_CHUNK_ROWS = 2048
-
-
-def brute_force_functional(lam: float, t: float) -> complex:
-    """2D Simpson quadrature of the oscillatory rhombus integral, rotated frame.
-
-    Resolution follows the phase gradients: lam*(u+2t) along v and lam*v
-    along u, with ``_PTS_PER_OSC`` samples per oscillation.
-    """
-    grad_u = 2.0 * lam          # max |d phase / du| = lam * max v
-    grad_v = lam * (2.0 + 2.0 * t)
-    n_u = int(max(_PTS_PER_OSC * grad_u * 2.0 / (2 * np.pi), 512)) | 1
-    n_v = int(max(_PTS_PER_OSC * grad_v * 2.0 / (2 * np.pi), 512)) | 1
-    u = np.linspace(0.0, 2.0, n_u)
-    v = np.linspace(0.0, 2.0, n_v)
-    wu = _simpson_weights(n_u) * (2.0 / (n_u - 1))
-    wv = _simpson_weights(n_v) * (2.0 / (n_v - 1))
-    total = 0.0 + 0.0j
-    for lo in range(0, n_v, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n_v)
-        block = np.exp(1j * lam * np.outer(v[lo:hi], u + 2.0 * t))
-        total += (wv[lo:hi] @ block) @ wu
-    return complex(lam / np.pi * 0.5 * total)
+ORACLE_LAMBDAS = (160.0, 224.0, 288.0)
 
 
-def _simpson_weights(n):
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
+def rhombus_functional(lam: float, t: float) -> complex:
+    """(lam / 2 pi) int_0^2 int_0^2 exp(i lam (u + 2t) v) du dv, in closed form."""
+    si_a, ci_a = sici(4.0 * lam * t)
+    si_b, ci_b = sici(4.0 * lam * (1.0 + t))
+    return complex((ci_b - ci_a + 1j * (si_b - si_a) - np.log1p(1.0 / t)) / (2j * np.pi))
 
 
-def oracle_limit(t: float, lams=(160.0, 224.0, 288.0)) -> complex:
-    """Brute-force limit estimate: sweep-average of the oscillatory quadrature."""
-    vals = [brute_force_functional(lam, t) for lam in lams]
-    return complex(np.mean(vals))
+def oracle_limit(t: float) -> complex:
+    """Limit estimate: the exact functional averaged over ``ORACLE_LAMBDAS``."""
+    return complex(np.mean([rhombus_functional(lam, t) for lam in ORACLE_LAMBDAS]))
 
 
 def side_phase_claims(t: float):

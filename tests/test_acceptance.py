@@ -56,7 +56,7 @@ def test_criterion_1_rhombus_counterexample(tmp_path):
                        f"|Re|/|Im| = {re_im:.4f}"))
         checks.append((f"limit nonzero (t={t})", abs(e["sweep_limit"]) > 1e-3,
                        f"|limit| = {abs(e['sweep_limit']):.4f}"))
-        checks.append((f"matches brute-force oracle within 10% (t={t})",
+        checks.append((f"matches the exact-functional oracle within 10% (t={t})",
                        e["rel_error_vs_oracle"] <= 0.10,
                        f"rel {e['rel_error_vs_oracle']:.4f}"))
     for r in summary["ratio_test"]:

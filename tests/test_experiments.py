@@ -10,12 +10,11 @@ from cgoplane.cgo import PhaseParams, alias_margin, homogeneous_weight, s1_apply
 from cgoplane.cli import main as cli_main
 from cgoplane.errors import BlobFormatError, ConfigError
 from cgoplane.experiments import (_FF_MAGIC, PWC_DISK_POTENTIAL, RUNNERS, ExperimentConfig,
-                                  _s1_opnorm, _save_far_field, load_far_field,
-                                  run_convergence, run_counterexample, run_lemma_checks,
-                                  run_scatter, run_stability, schedule_lambda)
+                                  _merge_params, _s1_opnorm, _save_far_field, lemma_defaults,
+                                  load_far_field, run_convergence, run_counterexample,
+                                  run_lemma_checks, run_scatter, run_stability, schedule_lambda)
 from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
-from cgoplane.potentials import (potential_from_description, rasterize,
-                                 save_potential_description)
+from cgoplane.potentials import potential_from_description, rasterize
 from cgoplane.scattering import FarFieldData
 from cgoplane.utils import write_blob, write_json
 
@@ -33,7 +32,7 @@ class TestConfig:
     def test_unknown_runner_param_refused(self, tmp_path, key):
         # a typo of "deltas", and a key only convergence reads
         path = tmp_path / "v.json"
-        save_potential_description(PWC_DISK_POTENTIAL, path)
+        path.write_text(json.dumps(PWC_DISK_POTENTIAL))
         value = str(path) if key == "potential_file" else [0.1]
         cfg = ExperimentConfig(name="stability", out_dir=str(tmp_path / "o"), grid_n=64,
                                params={key: value})
@@ -43,12 +42,40 @@ class TestConfig:
 
     def test_convergence_reads_a_potential_file(self, tmp_path):
         path = tmp_path / "v.json"
-        save_potential_description(PWC_DISK_POTENTIAL, path)
+        path.write_text(json.dumps(PWC_DISK_POTENTIAL))
         params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0], "mask_grid": None}
         summaries = [run_convergence(ExperimentConfig(
             name="convergence", out_dir=str(tmp_path / d), grid_n=64, params=extra))
             for d, extra in (("a", params), ("b", {**params, "potential_file": str(path)}))]
         assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("convergence", '{"variant": "pwc-disk"}'),                 # params key at top level
+        ("convergence", '[1, 2]'),                                  # not a JSON object
+        ("convergence", '{"params": {"variant": "pwc-disk"'),       # unparseable
+        ("convergence", '{"params": ["pwc-disk"]}'),                # params not an object
+        ("stability", '{"params": {"lens": {"half_widht": 0.08}}}'),  # misspelt nested key
+    ], ids=["top-level-key", "not-an-object", "unparseable", "params-not-an-object",
+            "nested-key"])
+    def test_bad_config_file_refused_before_any_output(self, tmp_path, experiment, text):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(text)
+        with pytest.raises(ConfigError):
+            cli_main([experiment, "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                      "--grid", "64"])
+        assert not (tmp_path / "o").exists()
+
+    def test_partial_lens_group_merges_over_its_defaults(self, tmp_path):
+        base = {"deltas": [0.05], "mesh_nodes": 64, "n_r": 64}
+        summaries = [run_stability(ExperimentConfig(
+            name="stability", out_dir=str(tmp_path / d), grid_n=64, params=extra))
+            for d, extra in (("a", base), ("b", {**base, "lens": {"half_width": 0.08}}))]
+        assert summaries[0] == summaries[1]
+
+    def test_partial_growth_group_keeps_the_other_defaults(self):
+        cfg = ExperimentConfig(name="lemmas", params={"growth": {"lambdas": [4.0, 8.0]}})
+        growth = _merge_params(cfg, lemma_defaults(), groups=("growth",))["growth"]
+        assert growth == {**lemma_defaults()["growth"], "lambdas": [4.0, 8.0]}
 
 
 class TestScheduleLambda:
@@ -66,8 +93,7 @@ class TestScheduleLambda:
 
 
 def _small_ce_config(out, **extra):
-    params = {"t_values": [1.0], "lambdas": [5.0, 7.0, 9.0, 11.0],
-              "oracle_lambdas": [120.0, 150.0]}
+    params = {"t_values": [1.0], "lambdas": [5.0, 7.0, 9.0, 11.0]}
     params.update(extra)
     return ExperimentConfig(name="counterexample", out_dir=str(out), grid_n=128,
                             params=params)
@@ -252,8 +278,7 @@ class TestCli:
     def test_counterexample_subcommand(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({
-            "params": {"t_values": [1.0], "lambdas": [5.0, 7.0, 9.0],
-                       "oracle_lambdas": [120.0]}}))
+            "params": {"t_values": [1.0], "lambdas": [5.0, 7.0, 9.0]}}))
         rc = cli_main(["counterexample", "--config", str(cfgfile),
                        "--out", str(tmp_path / "o"), "--grid", "128", "--seed", "5"])
         assert rc == 0

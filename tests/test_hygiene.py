@@ -161,3 +161,56 @@ def test_detector_sees_transforms_of_caller_arrays():
 def test_in_place_transforms_own_their_array(path):
     # an in-place FFT of a caller's array would silently change the caller's data
     assert overwritten_inputs(path.read_text()) == []
+
+
+def unused_public_api(*sources: str) -> list[str]:
+    """Public top-level functions and classes, and public non-property methods,
+    whose name no Name or Attribute node of any of ``sources`` mentions."""
+    trees = [ast.parse(s) for s in sources]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def is_property(fn):
+        return any(getattr(d, "id", None) == "property" or getattr(d, "attr", None) == "setter"
+                   for d in fn.decorator_list)
+
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, defs + (ast.ClassDef,)) and not node.name.startswith("_"):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend((f"{node.name}.{m.name}", m.name) for m in node.body
+                               if isinstance(m, defs) and not m.name.startswith("_")
+                               and not is_property(m))
+    used = {getattr(n, "id", None) or getattr(n, "attr", None) for tree in trees
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    return sorted(label for label, name in defined if name not in used)
+
+
+def test_detector_sees_unused_public_api():
+    src = ("def used(): pass\ndef unused(): pass\ndef _private(): pass\n"
+           "class Used:\n    @property\n    def prop(self): return 1\n"
+           "    def method(self): return used()\n    def called(self): pass\n"
+           "    def _helper(self): pass\nclass Unused: pass\n")
+    other = "x = Used()\nx.called()\n"
+    assert unused_public_api(src, other) == ["Unused", "Used.method", "unused"]
+
+
+# public API kept without a caller in the package, each for a stated reason
+API_ALLOWLIST = {
+    "dzbar_inv",                  # public inverse d-bar; tests pin it, perfbench/tracer.py wraps it
+    "DtnMatrix.pair",             # the boundary pairing identity test
+    "DtnMatrix.symmetry_defect",  # acceptance criterion 5
+    "load_far_field",             # reads the far-field blob the scatter runner writes
+    "ComplexField.integral",      # grid quadrature; tests check rasterized areas with it
+    "dsr_norm_upper",             # ROADMAP item 13 (the D^{s,r} stability norm)
+    "degenerate_locus",           # acceptance criterion 6
+    "stationarity_residuals",     # acceptance criterion 6
+    "tangent_set_area",           # acceptance criterion 6
+    "track_roots",                # ROADMAP item 6 (root tracking in stability)
+}
+
+
+def test_no_dead_public_api():
+    # a public name nothing in the package calls is either dead or needs a reason here
+    assert set(unused_public_api(*(p.read_text() for p in MODULES))) == API_ALLOWLIST

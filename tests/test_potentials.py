@@ -8,8 +8,7 @@ from cgoplane.geometry import make_disk, make_rhombus
 from cgoplane.grid import ComplexField, FourierGrid
 from cgoplane.potentials import (PiecewisePotential, chi_hr_norm, dsr_norm_upper,
                                  h_r_norm_field, load_potential,
-                                 potential_from_description, rasterize,
-                                 save_potential_description, w_s1_norm)
+                                 potential_from_description, rasterize, w_s1_norm)
 
 
 def constant_q(value):
@@ -164,7 +163,7 @@ class TestDescriptionFiles:
             ],
         }
         path = tmp_path / "potential.json"
-        save_potential_description(desc, path)
+        path.write_text(json.dumps(desc))
         V = load_potential(path)
         assert len(V.pieces) == 2
         assert V.s == 2.5
