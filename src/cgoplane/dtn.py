@@ -11,20 +11,22 @@ Schur complement on the boundary ring, complex-symmetric by construction (no
 conjugation), and the stored elimination gives the Dirichlet solve and the
 guard against 0 being a Dirichlet eigenvalue.
 
-The elimination reads the stencil out of the assembled matrix once: the
-center entry and column, the ring-to-ring coupling diagonals, and per ring
+The energy is kept only as its stencil: the center entry A_cc, the radial
+coupling c_{j+1/2} of ring j to ring j+1 (ring 0 is the center), and per ring
 its diagonal d_i and its one angular coupling o_i, so a ring block is
-diag(d_i) + o_i (P + P^T) with P the cyclic shift.  Rings 1..k, up to the
-outermost interior ring k on which V is nonzero, are eliminated densely ring
-by ring; the stored ring solves S_i^{-1} C_i.  On the V-free rings k+1..n_r-1
-the ring blocks are circulant, so the annulus is diagonal in the angular
-Fourier basis: one real tridiagonal (Thomas) solve in r per mode, the direct
-Poisson solver on the disk of Swarztrauber & Sweet (SIAM J. Numer. Anal. 10,
-1973).  It couples to the dense part only through M = F S_k F^H - c_k^2
-diag(g_11) at ring k, inverted once.  A potential that reaches ring n_r-1
-leaves no annulus and is eliminated densely throughout.  The guard's estimate
-of ||A_II^{-1}||_1 is scipy's onenormest (t=1) through the stored
-elimination, with LAPACK's alternating-sign estimate as a floor.
+diag(d_i) + o_i (P + P^T) with P the cyclic shift.  _energy_apply gives A u
+from these arrays.  Rings 1..k, up to the outermost interior ring k on which
+V is nonzero, are eliminated densely ring by ring; the stored ring solves
+S_i^{-1} C_i.  On the V-free rings k+1..n_r-1 the ring blocks are circulant,
+so the annulus is diagonal in the angular Fourier basis: one real tridiagonal
+(Thomas) solve in r per mode, the direct Poisson solver on the disk of
+Swarztrauber & Sweet (SIAM J. Numer. Anal. 10, 1973).  It couples to the
+dense part only through M = F S_k F^H - c_k^2 diag(g_11) at ring k, inverted
+once.  A potential that reaches ring n_r-1 leaves no annulus and is
+eliminated densely throughout.  The guard's ||A_II||_1 is the stencil's
+largest column sum, and its estimate of ||A_II^{-1}||_1 is scipy's
+onenormest (t=1) through the stored elimination, with LAPACK's
+alternating-sign estimate as a floor.
 
 Matrices act on nodal boundary values; the boundary pairing uses the
 uniform arc weights of the mesh.  The H^{1/2} -> H^{-1/2} operator norm
@@ -40,10 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import MeshMismatch, NearSingular
+from .errors import DomainError, MeshMismatch, NearSingular
 from .grid import ComplexField
 from .utils import bilinear_sample, read_blob, write_blob
 
@@ -56,9 +57,9 @@ class BoundaryMesh:
     def __init__(self, center=(0.0, 0.0), radius=1.0, n_nodes=128):
         m = int(n_nodes)
         if m < 64:
-            raise ValueError("boundary mesh needs at least 64 nodes")
+            raise DomainError("boundary mesh needs at least 64 nodes")
         if radius <= 0:
-            raise ValueError("radius must be positive")
+            raise DomainError("radius must be positive")
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
         self.n_nodes = m
@@ -107,15 +108,15 @@ def _thomas(pivots, offdiag, y):
 
 @dataclass
 class PolarOperator:
-    """Assembled energy form on the polar grid for one potential, eliminated from the
-    center outward: densely through ring v_ring, then per Fourier mode."""
+    """The energy form on the polar grid for one potential as its stencil, eliminated
+    from the center outward: densely through ring v_ring, then per Fourier mode."""
 
     mesh: BoundaryMesh
     n_r: int
-    energy: sp.csr_matrix       # full (interior + boundary + center) energy matrix
     a_cc: complex               # the center's diagonal entry A_cc
-    center_col: np.ndarray      # a: the center's coupling to ring 1
-    coupling: np.ndarray        # diagonals of C_1..C_{n_r-1} as rows
+    radial: np.ndarray          # c_{j+1/2}: ring j to ring j+1, j = 0 (the center)..n_r-1
+    angular: np.ndarray         # o_j: the angular coupling of ring j = 1..n_r
+    diag: np.ndarray            # d_j: the diagonal of ring j = 1..n_r, one row each
     interior_idx: np.ndarray
     boundary_idx: np.ndarray
     v_ring: int                 # k: the outermost interior ring with V != 0, at least 1
@@ -129,57 +130,32 @@ class PolarOperator:
 
     @property
     def n_dof(self):
-        return self.energy.shape[0]
+        return self.n_r * self.mesh.n_nodes + 1
 
 
 def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOperator:
-    """Energy matrix for B(u,v) with the given potential, eliminated ring by ring.
+    """The stencil of B(u,v) with the given potential, eliminated ring by ring.
 
     V may be a ComplexField (sampled bilinearly onto the polar nodes), a
-    callable V(z1, z2), or None for the Laplacian.
+    callable V(z1, z2), or None for the Laplacian.  n_r >= 2 rings, the last
+    on the circle.
     """
+    if n_r < 2:
+        raise DomainError(f"the polar grid needs at least 2 rings, got n_r={n_r}")
     m = mesh.n_nodes
     R = mesh.radius
     hr = R / n_r
     dth = 2 * np.pi / m
     n_dof = n_r * m + 1  # rings i=1..n_r (ring n_r = boundary), then the center node
     center_idx = n_dof - 1
-    ring = lambda i: (i - 1) * m + np.arange(m)  # noqa: E731
+    r = np.arange(1, n_r + 1) * hr
 
-    rows, cols, vals = [], [], []
-
-    def add_edges(a_idx, b_idx, coeff):
-        rows.extend([a_idx, b_idx, a_idx, b_idx])
-        cols.extend([a_idx, b_idx, b_idx, a_idx])
-        vals.extend([coeff, coeff, -coeff, -coeff])
-
-    # radial edges between ring i and ring i+1
-    for i in range(1, n_r):
-        c = (i + 0.5) * hr * dth / hr  # r_{i+1/2} * dtheta / hr
-        add_edges(ring(i), ring(i + 1), np.full(m, c))
-    # center to ring 1
-    c0 = 0.5 * hr * dth / hr
-    add_edges(np.full(m, center_idx), ring(1), np.full(m, c0))
-
-    # angular edges within each ring; boundary ring has half radial extent
-    for i in range(1, n_r + 1):
-        r_i = i * hr
-        ext = hr if i < n_r else hr / 2
-        c = ext / (r_i * dth)
-        idx = ring(i)
-        nxt = (i - 1) * m + (np.arange(m) + 1) % m
-        add_edges(idx, nxt, np.full(m, c))
-
-    # node coordinates and quadrature weights
-    node_r = np.zeros(n_dof)  # the center sits at r = theta = 0
-    node_theta = np.zeros(n_dof)
-    node_weight = np.empty(n_dof)
-    for i in range(1, n_r + 1):
-        idx = ring(i)
-        node_r[idx] = i * hr
-        node_theta[idx] = mesh.theta
-        node_weight[idx] = i * hr * hr * dth if i < n_r else i * hr * (hr / 2) * dth
-    node_weight[center_idx] = np.pi * (hr / 2) ** 2
+    # node coordinates and quadrature weights; the boundary ring has half radial extent
+    ext = np.full(n_r, hr)
+    ext[-1] = hr / 2
+    node_r = np.append(np.repeat(r, m), 0.0)  # the center sits at r = theta = 0
+    node_theta = np.append(np.tile(mesh.theta, n_r), 0.0)
+    node_weight = np.append(np.repeat(r * ext * dth, m), np.pi * (hr / 2) ** 2)
 
     z1 = mesh.center[0] + node_r * np.cos(node_theta)
     z2 = mesh.center[1] + node_r * np.sin(node_theta)
@@ -189,56 +165,49 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
         v_nodes = bilinear_sample(V.grid, V.values, np.stack([z1, z2], axis=-1))
     else:
         v_nodes = np.asarray(V(z1, z2), dtype=np.complex128)
-
     v_weight = v_nodes * node_weight
-    rows.append(np.arange(n_dof))
-    cols.append(np.arange(n_dof))
-    vals.append(v_weight)
+    ring_vw = v_weight[:-1].reshape(n_r, m)
 
-    rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v, dtype=np.complex128).ravel() for v in vals])
-    energy = sp.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
+    # the stencil: the radial couplings c_{j+1/2} (entry -c_{j+1/2}), and per ring its
+    # angular coupling o_j (entry o_j to either neighbour) and its diagonal d_j
+    radial = (np.arange(n_r) + 0.5) * hr * dth / hr  # r_{j+1/2} * dtheta / hr
+    angular = -ext / (r * dth)
+    diag = (radial + np.append(radial[1:], 0.0) - angular - angular)[:, None] + ring_vw
+    # A_cc sums V's weight, then the m couplings c_1/2 one at a time: the DtN data of
+    # cache version 3 carry the bits of that order, not of m * c_1/2
+    a_cc = v_weight[-1]
+    for _ in range(m):
+        a_cc += radial[0]
 
-    boundary_idx = ring(n_r)
+    boundary_idx = (n_r - 1) * m + np.arange(m)
     interior_idx = np.append(np.arange((n_r - 1) * m), center_idx)
 
     v_rings = np.flatnonzero(v_nodes[:(n_r - 1) * m].reshape(n_r - 1, m).any(axis=1))
     k = int(v_rings[-1]) + 1 if len(v_rings) else 1
 
-    # the stencil as the elimination reads it, once: A_cc, the center column a, the
-    # couplings C_i to ring i+1 (node to node: the m-th superdiagonal), and per ring
-    # its diagonal d_i and its one angular coupling o_i
-    a_cc = energy[-1, -1]
-    a = energy[:m, -1].toarray().ravel()
-    coupling = energy.diagonal(m)[:-1].reshape(-1, m)
-    diag = energy.diagonal()[:-1].reshape(n_r, m)
-    o = energy.diagonal(1)[::m]
     cyclic = np.roll(np.eye(m), 1, axis=1) + np.roll(np.eye(m), -1, axis=1)  # P + P^T
-    ring_block = lambda i: np.diag(diag[i - 1]) + o[i - 1] * cyclic  # noqa: E731
+    ring_block = lambda i: np.diag(diag[i - 1]) + angular[i - 1] * cyclic  # noqa: E731
 
-    # block Gaussian elimination from the center outward:
-    # S_1 = A_11 - a a^T / A_cc, then S_{i+1} = A_{i+1,i+1} - C_i S_i^{-1} C_i
+    # block Gaussian elimination from the center outward, C_i = -c_{i+1/2} I:
+    # S_1 = A_11 - c_{1/2}^2 / A_cc (every entry), then S_{i+1} = A_{i+1,i+1} - C_i S_i^{-1} C_i
     n_dense = k - 1 if k < n_r - 1 else n_r - 1
     ring_solves = np.empty((n_dense, m, m), dtype=np.complex128)
-    corr = np.outer(a, a) / a_cc  # what the rings inside take off the next ring block
-    for i, c in enumerate(coupling[:n_dense], start=1):
+    corr = radial[0] ** 2 / a_cc  # what the rings inside take off the next ring block
+    for i in range(1, n_dense + 1):
         schur = ring_block(i) - corr
-        ring_solves[i - 1] = np.linalg.solve(schur, np.diag(c))
-        corr = c[:, None] * ring_solves[i - 1]
+        ring_solves[i - 1] = np.linalg.solve(schur, np.diag(np.full(m, -radial[i])))
+        corr = -radial[i] * ring_solves[i - 1]
     annulus = None
     if n_dense == n_r - 1:
         schur = ring_block(n_r) - corr
     else:
-        radial = -np.append(a[0], coupling[:, 0]).real  # c_{j+1/2}, j = 0 (center)..n_r-1
-        annulus, schur = _eliminate_annulus(diag, o, v_weight[:-1].reshape(n_r, m),
-                                            radial, corr, k)
+        annulus, schur = _eliminate_annulus(diag, angular, ring_vw, radial, corr, k)
 
-    op = PolarOperator(mesh=mesh, n_r=n_r, energy=energy, a_cc=a_cc, center_col=a,
-                       coupling=coupling, interior_idx=interior_idx,
-                       boundary_idx=boundary_idx, v_ring=k,
-                       ring_solves=ring_solves, annulus=annulus, schur=schur, node_r=node_r,
-                       node_theta=node_theta, node_weight=node_weight, potential=v_nodes)
+    op = PolarOperator(mesh=mesh, n_r=n_r, a_cc=a_cc, radial=radial, angular=angular,
+                       diag=diag, interior_idx=interior_idx, boundary_idx=boundary_idx,
+                       v_ring=k, ring_solves=ring_solves, annulus=annulus, schur=schur,
+                       node_r=node_r, node_theta=node_theta, node_weight=node_weight,
+                       potential=v_nodes)
     _condition_guard(op)
     return op
 
@@ -274,9 +243,8 @@ def _eliminate_annulus(diag, o, v_weight, c, corr, k):
     A_{n_r,n_r} - c_l^2 F^H [diag(g_LL) + c_k^2 diag(g_1L) M^{-1} diag(g_1L)] F,
     with the circulant parts taken per mode by _chain.
     """
-    m = corr.shape[0]
-    n_r = len(c)
-    o = o[k - 1:].real  # rings k..n_r
+    n_r, m = diag.shape
+    o = o[k - 1:]  # rings k..n_r
     d = (diag[k - 1:, 0] - v_weight[k - 1:, 0]).real
     row_sum = d + 2 * o - c[k - 1:] - np.append(c[k:], 0.0)  # zero up to rounding
     alpha = row_sum[:, None] - 4 * o[:, None] * np.sin(np.pi * np.arange(m) / m) ** 2
@@ -306,19 +274,19 @@ def _interior_solve(op: PolarOperator, b):
     """A_II^{-1} b, with b ordered like interior_idx (rings 1..n_r-1, then the center),
     by one forward and one backward sweep over the stored ring solves, with the
     annulus (if any) solved per Fourier mode in between."""
-    a_cc, a, coupling = op.a_cc, op.center_col, op.coupling
+    c = -op.radial  # A's couplings: the center to ring 1, then ring i to ring i+1
     k = op.v_ring
-    x = b[:-1].reshape(coupling.shape).astype(np.complex128)
-    x[0] -= a * b[-1] / a_cc
+    x = b[:-1].reshape(op.n_r - 1, -1).astype(np.complex128)
+    x[0] -= c[0] * b[-1] / op.a_cc
     for i in range(k - 1):
-        x[i] = op.ring_solves[i] @ (x[i] / coupling[i])
-        x[i + 1] -= coupling[i] * x[i]
+        x[i] = op.ring_solves[i] @ (x[i] / c[i + 1])
+        x[i + 1] -= c[i + 1] * x[i]
     if op.annulus is None:
-        x[-1] = op.ring_solves[-1] @ (x[-1] / coupling[-1])
+        x[-1] = op.ring_solves[-1] @ (x[-1] / c[-1])
     else:
         # rings k..n_r-1: eliminate the annulus onto ring k, solve there, substitute back
         ann = op.annulus
-        c_k = coupling[k - 1, 0].real
+        c_k = c[k]
         y = np.fft.fft(x[k - 1:], axis=1, norm="ortho")
         z = _thomas(ann.pivots, ann.offdiag, y[1:])
         y[0] = ann.m_inv @ (y[0] - c_k * z[0])
@@ -326,7 +294,18 @@ def _interior_solve(op: PolarOperator, b):
         x[k - 1:] = np.fft.ifft(y, axis=1, norm="ortho")
     for i in range(k - 2, -1, -1):
         x[i] -= op.ring_solves[i] @ x[i + 1]
-    return np.append(x, (b[-1] - a @ x[0]) / a_cc)
+    return np.append(x, (b[-1] - c[0] * x[0].sum()) / op.a_cc)
+
+
+def _energy_apply(op: PolarOperator, u):
+    """A u from the stencil, u ordered like the dofs: rings 1..n_r, then the center."""
+    rings = u[:-1].reshape(op.n_r, -1)
+    c = op.radial[:, None]
+    inner = np.vstack([np.full_like(rings[:1], u[-1]), rings[:-1]])  # the center for ring 1
+    au = (op.diag * rings - c * inner
+          + op.angular[:, None] * (np.roll(rings, 1, axis=1) + np.roll(rings, -1, axis=1)))
+    au[:-1] -= c[1:] * rings[1:]
+    return np.append(au, op.a_cc * u[-1] - op.radial[0] * rings[0].sum())
 
 
 def _inverse_norm1_estimate(op: PolarOperator) -> float:
@@ -348,9 +327,15 @@ def _inverse_norm1_estimate(op: PolarOperator) -> float:
 
 
 def _condition_guard(op: PolarOperator) -> float:
-    """||A_II||_1 times the estimate of ||A_II^{-1}||_1; NearSingular above _COND_LIMIT."""
-    a_ii = op.energy[op.interior_idx][:, op.interior_idx]
-    cond = spla.norm(a_ii, 1) * _inverse_norm1_estimate(op)
+    """||A_II||_1 times the estimate of ||A_II^{-1}||_1; NearSingular above _COND_LIMIT.
+
+    ||A_II||_1 is the largest column sum of |A_II|: a ring column holds |d_j|, 2|o_j|
+    and its couplings to the interior rings (or the center) on either side."""
+    c = op.radial
+    ring_cols = (np.abs(op.diag[:-1]) - 2 * op.angular[:-1, None]
+                 + (c[:-1] + np.append(c[1:-1], 0.0))[:, None])
+    norm1 = max(ring_cols.max(), abs(op.a_cc) + op.mesh.n_nodes * c[0])
+    cond = norm1 * _inverse_norm1_estimate(op)
     if cond > _COND_LIMIT:
         raise NearSingular(
             f"interior operator condition estimate {cond:.2e} > {_COND_LIMIT:.0e}; "
@@ -381,8 +366,8 @@ class PolarSolution:
         """Discrete H^1 norm via the Dirichlet energy plus the L^2 mass."""
         op = self.op
         # the gradient energy is the energy less its potential diagonal
-        lap = op.energy - sp.diags(op.potential * op.node_weight)
-        grad = complex(self.full @ (lap @ self.full.conj()))
+        u = self.full.conj()
+        grad = complex(self.full @ (_energy_apply(op, u) - op.potential * op.node_weight * u))
         mass = float(np.sum(np.abs(self.full) ** 2 * op.node_weight))
         return float(np.sqrt(abs(grad.real) + mass))
 
@@ -401,7 +386,7 @@ def solve_dirichlet(V, f, mesh: BoundaryMesh, n_r: int = 128,
         raise ValueError("boundary data must have one value per mesh node")
     full = np.zeros(op.n_dof, dtype=np.complex128)
     full[op.boundary_idx] = f
-    full[op.interior_idx] = _interior_solve(op, -(op.energy @ full)[op.interior_idx])
+    full[op.interior_idx] = _interior_solve(op, -_energy_apply(op, full)[op.interior_idx])
     return PolarSolution(op=op, full=full)
 
 

@@ -11,6 +11,7 @@ configs give byte-identical outputs.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,14 +50,26 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key, low in (("grid_n", 1), ("seed", 0), ("jobs", 1)):
+            value = getattr(self, key)
+            if not _is_number(value, numbers.Integral) or value < low:
+                raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
         sched = self.params.get("lambdas")
+        if sched is not None and (not isinstance(sched, (list, tuple))
+                                  or not all(_is_number(v, numbers.Real) for v in sched)):
+            raise ConfigError(f"lambdas must be a list of numbers, got {sched!r}")
         if sched is not None and any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("lambda schedule must be strictly increasing")
         ref = self.params.get("potential_file")
         if ref is not None and not os.path.exists(ref):
             raise ConfigError(f"referenced description file does not exist: {ref}")
+
+
+def _is_number(value, kind) -> bool:
+    """A config value of the numbers ABC kind; JSON's true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _merge_params(cfg, defaults, extra=(), groups=()):

@@ -5,10 +5,10 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
-from cgoplane.dtn import (BoundaryMesh, _condition_guard, _interior_solve,
+from cgoplane.dtn import (BoundaryMesh, _condition_guard, _energy_apply, _interior_solve,
                           _inverse_norm1_estimate, assemble_polar_operator, cache_key, dtn_matrix, dtn_matrix_cached,
                           dtn_opnorm_diff, load_dtn, save_dtn, solve_dirichlet)
-from cgoplane.errors import BlobFormatError, MeshMismatch, NearSingular
+from cgoplane.errors import BlobFormatError, DomainError, MeshMismatch, NearSingular
 from cgoplane.grid import ComplexField, FourierGrid
 from cgoplane.utils import read_blob
 
@@ -16,6 +16,12 @@ from cgoplane.utils import read_blob
 def bump_potential(amp=1.0, sigma=0.25):
     return lambda Z1, Z2: amp * np.exp(-(np.asarray(Z1)**2 + np.asarray(Z2)**2)
                                        / (2 * sigma**2))
+
+
+def dense_energy(op):
+    """The energy matrix A as the columns of _energy_apply on the identity (small grids only)."""
+    assert op.n_dof <= 2049
+    return np.column_stack([_energy_apply(op, e) for e in np.eye(op.n_dof)])
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +52,24 @@ class TestBoundaryMesh:
         assert mesh.mesh_hash() != other.mesh_hash()
 
 
+class TestStencil:
+    """The properties of the polar energy stencil that the elimination relies on."""
+
+    @pytest.mark.parametrize("n_r", [0, 1])
+    def test_too_few_rings_refused(self, n_r):
+        with pytest.raises(DomainError):
+            assemble_polar_operator(None, BoundaryMesh(n_nodes=64), n_r=n_r)
+
+    def test_complex_symmetric(self, rng):
+        op = assemble_polar_operator(bump_potential(2.0 - 1.5j), BoundaryMesh(n_nodes=64), n_r=16)
+        u, v = rng.standard_normal((2, op.n_dof)) + 1j * rng.standard_normal((2, op.n_dof))
+        lhs, rhs = u @ _energy_apply(op, v), v @ _energy_apply(op, u)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_rows_sum_to_zero_without_potential(self, op0):
+        assert np.max(np.abs(_energy_apply(op0, np.ones(op0.n_dof)))) <= 1e-12 * np.abs(op0.diag).max()
+
+
 class TestSolveDirichlet:
     def test_constant_data_exact(self, mesh, op0):
         sol = solve_dirichlet(None, np.ones(128, dtype=complex), mesh, op=op0)
@@ -58,6 +82,13 @@ class TestSolveDirichlet:
         r = np.arange(op0.n_r + 1) / op0.n_r
         exact = (r[:, None] ** n) * np.cos(n * mesh.theta)[None, :]
         assert np.max(np.abs(sol.values - exact)) < 0.02
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_h1_norm_of_harmonic_extension(self, mesh, op0, n):
+        # u = r^n cos(n theta): Dirichlet energy n pi plus L^2 mass pi / (2n + 2)
+        sol = solve_dirichlet(None, np.cos(n * mesh.theta).astype(complex), mesh, op=op0)
+        exact = np.sqrt(n * np.pi + np.pi / (2 * n + 2))
+        assert abs(sol.h1_norm() - exact) / exact < 2e-3
 
     def test_linearity(self, mesh, opV, rng):
         f1 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
@@ -74,7 +105,7 @@ class TestSolveDirichlet:
         # energy gradient (the 5-point polar scheme) vanishes at interior dofs
         f = rng.standard_normal(128) + 0j
         sol = solve_dirichlet(None, f, mesh, op=opV)
-        resid = opV.energy @ sol.full
+        resid = _energy_apply(opV, sol.full)
         interior_resid = np.max(np.abs(resid[opV.interior_idx]))
         assert interior_resid < 1e-9 * np.max(np.abs(sol.full))
 
@@ -104,7 +135,7 @@ class TestDtnMatrix:
         # interior values, same trace)
         op0b = assemble_polar_operator(None, mesh, n_r=opV.n_r)
         v = solve_dirichlet(None, g, mesh, op=op0b)
-        pair_weak = complex(u.full @ (opV.energy @ v.full))
+        pair_weak = complex(u.full @ _energy_apply(opV, v.full))
         assert abs(pair_matrix - pair_weak) / abs(pair_matrix) < 1e-6
 
     def test_alessandrini_identity(self, mesh, opV, op0):
@@ -220,7 +251,7 @@ class TestSingularityGuard:
     def mu1(self):
         op = assemble_polar_operator(None, BoundaryMesh(n_nodes=64), n_r=32)
         idx = op.interior_idx
-        lap = op.energy[idx][:, idx].toarray().real
+        lap = dense_energy(op)[np.ix_(idx, idx)].real
         weights = np.diag(op.node_weight[idx])
         return sla.eigh(lap, weights, eigvals_only=True, subset_by_index=[0, 0])[0]
 
@@ -264,7 +295,7 @@ class TestAnnulusSingularityGuard:
         assert op.annulus is not None
         idx = op.interior_idx
         w_chi = op.potential[idx].real * op.node_weight[idx]
-        lap = op.energy[idx][:, idx].toarray().real - np.diag(w_chi)
+        lap = dense_energy(op)[np.ix_(idx, idx)].real - np.diag(w_chi)
         n = len(idx)
         return 1.0 / sla.eigh(np.diag(w_chi), lap, eigvals_only=True,
                               subset_by_index=[n - 1, n - 1])[0]
@@ -294,17 +325,21 @@ class TestInverseNormEstimate:
     def test_estimate_meets_the_exact_norm(self, name, n_r):
         op = assemble_polar_operator(self.POTENTIALS[name], BoundaryMesh(n_nodes=64), n_r=n_r)
         assert (op.annulus is None) == (name == "gaussian")  # both elimination paths
-        a_ii = op.energy[op.interior_idx][:, op.interior_idx].toarray()
+        a_ii = dense_energy(op)[np.ix_(op.interior_idx, op.interior_idx)]
         exact = np.abs(np.linalg.inv(a_ii)).sum(axis=0).max()
-        assert 0.99 <= _inverse_norm1_estimate(op) / exact <= 1 + 1e-10
+        estimate = _inverse_norm1_estimate(op)
+        assert 0.99 <= estimate / exact <= 1 + 1e-10
+        # the guard's closed-form ||A_II||_1 against the dense column sums
+        assert _condition_guard(op) / estimate == pytest.approx(
+            np.abs(a_ii).sum(axis=0).max(), rel=1e-13)
 
 
 def _dense_defects(op, rng):
     """Relative defects of the DtN, solve_dirichlet and _interior_solve (center load
-    included) against dense solves of the assembled energy, and the DtN's symmetry defect."""
+    included) against dense solves of the energy, and the DtN's symmetry defect."""
     mesh = op.mesh
     m = mesh.n_nodes
-    energy = op.energy.toarray()
+    energy = dense_energy(op)
     a_ii = energy[np.ix_(op.interior_idx, op.interior_idx)]
     a_ib = energy[np.ix_(op.interior_idx, op.boundary_idx)]
     rel = lambda got, want: np.linalg.norm(got - want) / np.linalg.norm(want)  # noqa: E731
@@ -322,7 +357,7 @@ def _dense_defects(op, rng):
 
 
 class TestDenseOracle:
-    """Ring elimination against a dense interior solve of the assembled energy."""
+    """Ring elimination against a dense interior solve of the energy."""
 
     @pytest.fixture(scope="class")
     def defects(self):

@@ -65,6 +65,19 @@ class TestConfig:
                       "--grid", "64"])
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"grid_n": "64"}', '{"grid_n": true}', '{"grid_n": 0}', '{"grid_n": 64.0}',
+        '{"seed": -1}', '{"seed": "5"}', '{"jobs": 0}', '{"jobs": false}',
+        '{"params": {"lambdas": 8}}', '{"params": {"lambdas": [5.0, "7"]}}',
+        '{"params": {"lambdas": [5.0, true]}}',
+    ])
+    def test_config_value_of_wrong_type_refused(self, tmp_path, text):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(text)
+        with pytest.raises(ConfigError):
+            cli_main(["counterexample", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
     def test_partial_lens_group_merges_over_its_defaults(self, tmp_path):
         base = {"deltas": [0.05], "mesh_nodes": 64, "n_r": 64}
         summaries = [run_stability(ExperimentConfig(
