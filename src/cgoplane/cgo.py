@@ -32,14 +32,27 @@ The correction field w = w_{lambda,x} solves the fixed-point equation
 
 iterated by plain Picard; failure to contract signals that lambda is below
 the contraction threshold for the given potential.  Every periodic inverse
-is one kernel, _periodic_inverse.  One S1 pass works on two arrays it
-allocates itself: each forward/inverse FFT pair transforms its work array in
-place (``overwrite_x``), and the multipliers and phases are applied
-with in-place products whose output is their first operand, so every value is
-bit-identical to the out-of-place composition of phase_mul, dz_inv and
-dzbar_inv.  Inputs are never written to.  The first transform acts on
-e^{i lam phi} V (1 + w), which is zero outside V's columns, so grid.fft2
-skips the all-zero columns in its first pass.
+is one kernel, _periodic_inverse, and S1 itself is one kernel,
+_s1_spectrum, which returns the spectrum S of 4 S1 u from a work array it may
+overwrite: each forward/inverse FFT pair transforms its work array in place
+(``overwrite_x``), and the multipliers and phases are applied with in-place
+products that keep the operand order of the field composition, so every
+value is bit-identical to the out-of-place composition of phase_mul, dz_inv
+and dzbar_inv.  Inputs are never written to.  s1_apply is (1/4) ifft2 of it.
+
+solve_w keeps each iterate as its spectrum S_k, w_k = (1/4) ifft2(S_k), and
+works on V's support box [r0, r1) x [c0, c1) (for the 1 + 0.5i disk of
+radius 0.3 at 512^2 of side 4, 77 x 77 nodes):
+  * V (1 + w_k) and its phase product are formed on the box only, in a
+    zeroed work array, so grid.fft2 transforms only the box's columns in its
+    first pass;
+  * the step ||w_{k+1} - w_k|| is (1/4) h/n ||S_{k+1} - S_k|| (Parseval),
+    the grid L^2 step up to rounding, so no iterate is inverted to test it;
+  * a non-final iterate is inverted onto the box rows only
+    (grid.ifft2(rows=(r0, r1))); only the converged one gets a full inverse.
+Its work arrays are grid.padded_zeros, whose row stride is not a power of
+two.  The returned w is bit-identical to that of the field loop
+w <- s1_apply(V (1 + w)).
 """
 
 from __future__ import annotations
@@ -52,7 +65,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
-from .grid import ComplexField, FourierGrid, check_padding_support, fft2, ifft2
+from .grid import (ComplexField, FourierGrid, check_padding_support, fft2, ifft2,
+                   padded_zeros, support_box)
 
 # distance a ghost stationary point must keep from the support of V (alias_margin)
 ALIAS_CLEARANCE = 0.1
@@ -213,27 +227,40 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
     return ComplexField(F.grid, (phase if sign > 0 else phase.conj()) * F.values)
 
 
+def _s1_spectrum(a, grid, phase_conj, overwrite_x=False):
+    """M fft2(e^{-i lam phi} dz_inv(a)), M the dzbar_inv multiplier: S1 u = (1/4) ifft2 of it.
+
+    a holds e^{i lam phi} u; phase_conj is e^{-i lam phi}.  overwrite_x as for
+    grid.fft2: with True every step runs in a's memory and the spectrum is
+    left there.  Each product keeps the operand order of the field
+    composition, since complex products are not bit-for-bit commutative.
+    """
+    inner = _periodic_inverse(a, grid, _dz_symbol, overwrite_x=overwrite_x)
+    np.multiply(phase_conj, inner, out=inner)
+    spec = fft2(inner, overwrite_x=True)
+    spec *= _inverse_multiplier(grid, _dzbar_symbol)
+    return spec
+
+
 def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> ComplexField:
     """One pass of the smoothing operator behind the correction-field equation.
 
     Equals (1/4) dzbar_inv[e^{-i lam phi} dz_inv[e^{+i lam phi} F]] bit for bit,
-    computed on two new arrays: F is never written to, and each FFT transforms
-    its work array in place.  The phase comes from _phase, two 1-D chirps.  The
-    first transform's input e^{i lam phi} F vanishes wherever F does, so for a
-    compactly supported F grid.fft2 transforms only F's columns along axis 0.
-    The outer inverse acts on a field that fills the square by construction,
-    so only F's support is checked.  Warns like phase_mul when lam is
-    under-resolved on the grid.
+    computed by _s1_spectrum on two new arrays: F is never written to, and each
+    FFT transforms its work array in place.  The phase comes from _phase, two
+    1-D chirps.  The first transform's input e^{i lam phi} F vanishes wherever
+    F does, so for a compactly supported F grid.fft2 transforms only F's
+    columns along axis 0.  The outer inverse acts on a field that fills the
+    square by construction, so only F's support is checked.  Warns like
+    phase_mul when lam is under-resolved on the grid.
     """
     g = F.grid
     if check_support:
         check_padding_support(F)
     _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
-    a = _periodic_inverse(phase * F.values, g, _dz_symbol, overwrite_x=True)
-    b = np.conj(phase)
-    b *= a
-    b = _periodic_inverse(b, g, _dzbar_symbol, overwrite_x=True)
+    spec = _s1_spectrum(phase * F.values, g, np.conj(phase), overwrite_x=True)
+    b = ifft2(spec, overwrite_x=True)
     b *= 0.25
     return ComplexField(g, b)
 
@@ -268,28 +295,46 @@ def solve_w(
 
     The iteration is affine, so the fixed-point residual of the k-th iterate
     equals the step size ||w_{k+1} - w_k|| in grid L^2.  Raises NonConvergence
-    when the steps stop decreasing (lambda below the contraction threshold
-    for this potential) or max_iter is exhausted.
+    when a step is not finite, when the steps stop decreasing (lambda below
+    the contraction threshold for this potential) or when max_iter is
+    exhausted.  The zero potential gives w = 0 without a transform.
+
+    Iterates on V's support box as the module docstring describes, with the
+    spectra S_k in two padded_zeros arrays allocated once per call; the
+    result is bit-identical to the field loop w <- s1_apply(V (1 + w)).
     """
     if check_support:
-        check_padding_support(V, what="potential")
+        box = check_padding_support(V, what="potential")
+    else:
+        box = support_box(V.values)
     g = V.grid
-    w = np.zeros((g.n_per_side, g.n_per_side), dtype=np.complex128)
+    n = g.n_per_side
+    if box is None:
+        return ComplexField.zeros(g)
+    r0, r1, c0, c1 = box
+    _warn_if_under_resolved(g, p.lam)
+    phase = _phase(g, p)
+    phase_conj = np.conj(phase)
+    v_box, phase_box = V.values[r0:r1, c0:c1], phase[r0:r1, c0:c1]
+    work, prev = padded_zeros(n), padded_zeros(n)
+    w_box = np.zeros((r1 - r0, c1 - c0), dtype=np.complex128)
     prev_step = np.inf
     grow = 0
     for _ in range(max_iter):
-        # V (1 + w) in u's memory; V stays the left operand, since complex
-        # products are not bit-for-bit commutative
-        u = w + 1
-        np.multiply(V.values, u, out=u)
-        w_next = s1_apply(ComplexField(g, u), p, check_support=False)
-        # the old iterate is not needed again: its memory takes w - w_next,
-        # whose norm is the step's
-        w -= w_next.values
-        step = float(g.h * np.linalg.norm(w))
-        w = w_next.values
+        # V (1 + w) with V as the left operand, then the phase, as in s1_apply
+        u = w_box + 1
+        np.multiply(v_box, u, out=u)
+        np.multiply(phase_box, u, out=work[r0:r1, c0:c1])
+        spec = _s1_spectrum(work, g, phase_conj, overwrite_x=True)
+        # S_k is not needed again: its memory takes S_k - S_{k+1}; the padding
+        # columns of both blocks stay 0, so the block's norm is the view's
+        np.subtract(prev, spec, out=prev)
+        step = 0.25 * g.h / n * float(np.linalg.norm(prev.base))
+        if not np.isfinite(step):
+            raise NonConvergence(f"fixed-point step is not finite ({step}) at lam={p.lam:g}")
         if step <= tol:
-            return w_next
+            w = ifft2(spec, overwrite_x=True)
+            return ComplexField(g, w * 0.25)
         if step >= prev_step:
             grow += 1
             if grow >= 3:
@@ -300,6 +345,11 @@ def solve_w(
         else:
             grow = 0
         prev_step = step
+        np.copyto(prev, spec)
+        w_box = ifft2(prev, overwrite_x=True, rows=(r0, r1))[:, c0:c1] * 0.25
+        # S_{k+1} is in work's memory; the other block is the next work array
+        prev, work = work, prev
+        work.fill(0)
     raise NonConvergence(
         f"fixed-point residual {step:.3e} > tol {tol:.1e} after {max_iter} iterations"
     )

@@ -72,17 +72,45 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _same_kind(value, default) -> bool:
+    """value has the JSON type of default; an integer may stand for a float.
+
+    A None default (an optional table) takes any value, and None may replace
+    a table to turn it off.
+    """
+    if default is None:
+        return True
+    if value is None:
+        return isinstance(default, dict)
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    for kind in (numbers.Integral, numbers.Real):
+        if isinstance(default, kind):
+            return _is_number(value, kind)
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, (list, tuple))
+    return isinstance(value, type(default))
+
+
 def _merge_params(cfg, defaults, extra=(), groups=()):
     """The runner's defaults overridden by ``cfg.params``.
 
     A key outside the defaults and ``extra`` raises ConfigError, so a typo
-    cannot silently run the default.  Each of ``groups`` is a nested dict
-    merged key by key over its default under the same rule.
+    cannot silently run the default, and so does a value whose type differs
+    from its default's, or an n_r below 2.  Each of ``groups`` is a nested
+    dict merged key by key over its default under the same rules.
     """
     def merge(given, base, where, allowed=()):
         unknown = sorted(set(given) - set(base) - set(allowed))
         if unknown:
             raise ConfigError(f"unknown {where} params: {', '.join(unknown)}")
+        for key, value in given.items():
+            if key in base and not _same_kind(value, base[key]):
+                raise ConfigError(f"{where} param {key} must be of the type of its "
+                                  f"default {base[key]!r}, got {value!r}")
+            if key == "n_r" and value < 2:
+                # dtn.assemble_polar_operator needs 2 rings; refuse before any output
+                raise ConfigError(f"{where} param n_r must be >= 2, got {value!r}")
         return {**base, **given}
 
     params = merge(cfg.params, defaults, cfg.name, extra)

@@ -245,6 +245,30 @@ class TestSolveW:
         with pytest.raises(NonConvergence):
             cgo.solve_w(V, PhaseParams(1.0, (0.0, 0.0)), max_iter=40)
 
+    def test_non_finite_step_is_nonconvergence(self, grid128):
+        # the first step's norm overflows; the loop must not go on with it
+        V = gaussian_bump(grid128, amp=1e150)
+        with np.errstate(over="ignore"), pytest.raises(NonConvergence, match="not finite"):
+            cgo.solve_w(V, PhaseParams(1.0, (0.0, 0.0)))
+
+    def test_zero_potential_runs_no_transform(self, grid128, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform called")
+
+        monkeypatch.setattr(cgo, "fft2", refuse)
+        monkeypatch.setattr(cgo, "ifft2", refuse)
+        w = cgo.solve_w(ComplexField.zeros(grid128), PhaseParams(16.0, (0.2, 0.1)))
+        assert w.max_abs() == 0.0
+
+    def test_second_solve_leaves_the_first_result_alone(self, grid128):
+        V = gaussian_bump(grid128, sigma=0.1)
+        w1 = cgo.solve_w(V, PhaseParams(32.0, (0.0, 0.0)))
+        before = w1.values.copy()
+        w2 = cgo.solve_w(V, PhaseParams(48.0, (0.05, 0.0)))
+        assert not np.shares_memory(w1.values, w2.values)
+        assert np.array_equal(w1.values, before)
+        assert w1.values.flags.c_contiguous
+
 
 class TestOscFunctional:
     def test_zero_cases(self, grid128):
@@ -320,6 +344,33 @@ def test_solve_w_is_the_field_picard_loop_bit_for_bit(grid128):
         if step <= 1e-8:
             break
     assert np.array_equal(cgo.solve_w(V, p).values, w.values)
+
+
+def _field_picard(V, p, tol=1e-8, max_iter=50):
+    """w <- S1[V (1 + w)] on whole fields, stopped on the grid L^2 step."""
+    w = ComplexField.zeros(V.grid)
+    for _ in range(max_iter):
+        w_next = ComplexField(V.grid, _s1_uncached(V * (1 + w), p))
+        step = (w_next - w).l2_norm()
+        w = w_next
+        if step <= tol:
+            return w
+    raise AssertionError("field loop did not converge")
+
+
+@pytest.mark.parametrize("rows, cols", [(slice(52, 71), slice(40, 90)),
+                                        (slice(36, 92), slice(63, 66))],
+                         ids=["horizontal-strip", "vertical-strip"])
+def test_solve_w_on_a_strip_is_the_field_picard_loop_bit_for_bit(grid128, rng, rows, cols):
+    # V vanishes off a box of a few rows or columns, so solve_w iterates on the
+    # box and inverts only its rows until the last step
+    vals = np.zeros((128, 128), complex)
+    box = vals[rows, cols]
+    box[...] = 0.4 * (rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape))
+    V = ComplexField(grid128, vals)
+    p = PhaseParams(48.0, (0.03, -0.02))
+    got = cgo.solve_w(V, p)
+    assert np.array_equal(got.values, _field_picard(V, p).values)
 
 
 class TestCaches:

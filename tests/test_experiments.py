@@ -78,6 +78,24 @@ class TestConfig:
             cli_main(["counterexample", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("params", [
+        {"n_r": "64"}, {"n_r": 1}, {"n_r": 64.0}, {"lens": {"half_width": "0.08"}},
+        {"deltas": 0.1},
+    ], ids=["n_r-string", "n_r-one", "n_r-float", "nested-string", "list-as-number"])
+    def test_runner_param_of_wrong_type_or_range_refused(self, tmp_path, params):
+        cfg = ExperimentConfig(name="stability", out_dir=str(tmp_path / "o"), grid_n=64,
+                               params=params)
+        with pytest.raises(ConfigError):
+            run_stability(cfg)
+        assert not (tmp_path / "o").exists()
+
+    def test_growth_rings_checked_like_the_top_level(self, tmp_path):
+        cfg = ExperimentConfig(name="lemmas", out_dir=str(tmp_path / "o"), grid_n=64,
+                               params={"growth": {"n_r": 1}})
+        with pytest.raises(ConfigError, match="n_r"):
+            run_lemma_checks(cfg)
+        assert not (tmp_path / "o").exists()
+
     def test_partial_lens_group_merges_over_its_defaults(self, tmp_path):
         base = {"deltas": [0.05], "mesh_nodes": 64, "n_r": 64}
         summaries = [run_stability(ExperimentConfig(

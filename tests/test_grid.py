@@ -3,7 +3,8 @@ import pytest
 from scipy import fft as sfft
 
 from cgoplane.errors import SupportViolation
-from cgoplane.grid import ComplexField, FourierGrid, check_padding_support, fft2
+from cgoplane.grid import (ComplexField, FourierGrid, check_padding_support, fft2, ifft2,
+                           padded_zeros, support_box)
 
 
 def test_grid_requires_power_of_two():
@@ -62,6 +63,21 @@ def test_support_check_rejects_band_mass():
         check_padding_support(shifted)
     # zero fields pass trivially
     check_padding_support(ComplexField.zeros(g))
+    # the check reads the support box: a lone node in the band's corner is support
+    corner = np.zeros((64, 64), complex)
+    corner[2, 3] = 1e-3
+    with pytest.raises(SupportViolation):
+        check_padding_support(ComplexField(g, corner))
+
+
+def test_support_box_bounds_the_nonzero_entries():
+    a = np.zeros((32, 32), complex)
+    assert support_box(a) is None
+    a[5, 7] = 1j
+    a[9, 3] = -1.0
+    assert support_box(a) == (5, 10, 3, 8)
+    a[31, 31] = 1e-300
+    assert support_box(a) == (5, 32, 3, 32)
 
 
 def _columns(n, cols, rng, dtype=np.complex128):
@@ -101,3 +117,42 @@ def test_fft2_of_other_dtypes_equals_scipy(dtype):
     got = fft2(a)
     assert got.dtype == sfft.fft2(a).dtype
     assert np.array_equal(got, sfft.fft2(a))
+
+
+def _as_layout(a, layout):
+    """A copy of a, C-contiguous or in a padded_zeros view (rows n + 4 entries apart)."""
+    if layout == "contiguous":
+        return a.copy()
+    out = padded_zeros(a.shape[0])
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "padded"])
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_ifft2_rows_equal_scipy_rows_bit_for_bit(n, layout):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    expected = sfft.ifft2(a)
+    for r0, r1 in [(0, n), (n // 3, n // 3 + 1), (n - 1, n), (n // 4, 3 * n // 4)]:
+        x = _as_layout(a, layout)
+        assert np.array_equal(ifft2(x, rows=(r0, r1)), expected[r0:r1])
+        assert np.array_equal(x, a)               # overwrite_x=False leaves the input alone
+        assert np.array_equal(ifft2(x, overwrite_x=True, rows=(r0, r1)), expected[r0:r1])
+
+
+@pytest.mark.parametrize("cols", [list(range(40, 70)), list(range(128))], ids=["strip", "full"])
+def test_transforms_of_a_padded_view_equal_those_of_the_contiguous_copy(cols):
+    a = _columns(128, cols, np.random.default_rng(len(cols)))
+    x = _as_layout(a, "padded")
+    assert x.shape == a.shape and x.strides[0] == 132 * 16
+    for fn in (fft2, ifft2):
+        expected = fn(a.copy())
+        assert np.array_equal(fn(x), expected)
+        got = fn(x, overwrite_x=True)
+        assert np.shares_memory(got, x)           # transformed in the view's own memory
+        assert np.array_equal(got, expected)
+        assert np.array_equal(x, expected)
+        x[...] = a
+    # the transforms never touch the padding
+    assert not x.base[:, 128:].any()
