@@ -31,14 +31,18 @@ The correction field w = w_{lambda,x} solves the fixed-point equation
     w = (1/4) * dzbar_inv[ e^{-i lam phi} * dz_inv[ e^{+i lam phi} * V (1 + w) ] ],
 
 iterated by plain Picard; failure to contract signals that lambda is below
-the contraction threshold for the given potential.  Every periodic inverse
-is one kernel, _periodic_inverse, and S1 itself is one kernel,
-_s1_spectrum, which returns the spectrum S of 4 S1 u from a work array it may
-overwrite: each forward/inverse FFT pair transforms its work array in place
-(``overwrite_x``), and the multipliers and phases are applied with in-place
-products that keep the operand order of the field composition, so every
-value is bit-identical to the out-of-place composition of phase_mul, dz_inv
-and dzbar_inv.  Inputs are never written to.  s1_apply is (1/4) ifft2 of it.
+the contraction threshold for the given potential.  S1, its adjoint and the
+Picard loop share one kernel, _s1_spectrum: a full periodic inverse
+(_periodic_inverse, the kernel of dz_inv and dzbar_inv), a phase in the slot
+between the two inverses, then the forward FFT and the multiplier of the outer
+inverse.  It returns that spectrum from a work array it may overwrite, and
+each caller completes the outer inverse its own way: s1_apply and s1_adjoint
+with a full ifft2, solve_w on the box rows only, since it measures its steps
+on the spectra.  Each forward/inverse FFT pair transforms its work array in
+place (``overwrite_x``), and the multipliers and phases are applied with
+in-place products that keep the operand order of the field composition, so
+every value is bit-identical to the out-of-place composition of phase_mul,
+dz_inv and dzbar_inv.  Inputs are never written to.
 
 solve_w keeps each iterate as its spectrum S_k, w_k = (1/4) ifft2(S_k), and
 works on V's support box [r0, r1) x [c0, c1) (for the 1 + 0.5i disk of
@@ -65,8 +69,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
-from .grid import (ComplexField, FourierGrid, check_padding_support, fft2, ifft2,
-                   padded_zeros, support_box)
+from .grid import ComplexField, FourierGrid, check_padding_support, fft2, ifft2, padded_zeros
 
 # distance a ghost stationary point must keep from the support of V (alias_margin)
 ALIAS_CLEARANCE = 0.1
@@ -116,8 +119,8 @@ def _inverse_multiplier(grid: FourierGrid, symbol) -> np.ndarray:
 def _periodic_inverse(a, grid, symbol, overwrite_x=False):
     """ifft2(fft2(a) / symbol), the one periodic inverse; overwrite_x as for grid.fft2.
 
-    s1_apply calls it directly, not through dz_inv and dzbar_inv, so a trace of
-    those two sees only the inverses their own callers ask for.
+    _s1_spectrum calls it directly, not through dz_inv and dzbar_inv, so a trace
+    of those two sees only the inverses their own callers ask for.
     """
     spec = fft2(a, overwrite_x=overwrite_x)
     spec *= _inverse_multiplier(grid, symbol)
@@ -227,16 +230,17 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
     return ComplexField(F.grid, (phase if sign > 0 else phase.conj()) * F.values)
 
 
-def _s1_spectrum(a, grid, phase_conj, overwrite_x=False):
-    """M fft2(e^{-i lam phi} dz_inv(a)), M the dzbar_inv multiplier: S1 u = (1/4) ifft2 of it.
+def _s1_spectrum(a, grid, mid_phase, overwrite_x=False):
+    """M fft2(mid_phase dz_inv(a)), M the dzbar_inv multiplier; ifft2 completes the outer inverse.
 
-    a holds e^{i lam phi} u; phase_conj is e^{-i lam phi}.  overwrite_x as for
-    grid.fft2: with True every step runs in a's memory and the spectrum is
+    For S1 u = (1/4) ifft2 of it, a holds e^{i lam phi} u and mid_phase is
+    e^{-i lam phi}; s1_adjoint passes F and e^{+i lam phi}.  overwrite_x as
+    for grid.fft2: with True every step runs in a's memory and the spectrum is
     left there.  Each product keeps the operand order of the field
     composition, since complex products are not bit-for-bit commutative.
     """
     inner = _periodic_inverse(a, grid, _dz_symbol, overwrite_x=overwrite_x)
-    np.multiply(phase_conj, inner, out=inner)
+    np.multiply(mid_phase, inner, out=inner)
     spec = fft2(inner, overwrite_x=True)
     spec *= _inverse_multiplier(grid, _dzbar_symbol)
     return spec
@@ -268,20 +272,21 @@ def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> Com
 def s1_adjoint(F: ComplexField, p: PhaseParams) -> ComplexField:
     """Adjoint of s1_apply in the grid L^2 pairing.
 
-    Equals (1/4) e^{-i lam phi} dzbar_inv[e^{+i lam phi} dz_inv[F]]: on the
-    lattice conj(1/sigma_z) = -1/sigma_zbar, so the adjoint of each inverse is
-    minus the other one and the two signs cancel.  Computed like s1_apply, on
-    two new arrays with in-place transforms.
+    Equals (1/4) e^{-i lam phi} dzbar_inv[e^{+i lam phi} dz_inv[F]] bit for
+    bit: on the lattice conj(1/sigma_z) = -1/sigma_zbar, so the adjoint of
+    each inverse is minus the other one and the two signs cancel.  The same
+    kernel as s1_apply with e^{+i lam phi} between the inverses; F is never
+    written to.  No support check: the norm of S1 is taken over all grid
+    functions, so the adjoint meets full-square fields.
     """
     g = F.grid
     _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
-    a = dz_inv(F, check_support=False).values
-    b = _periodic_inverse(phase * a, g, _dzbar_symbol, overwrite_x=True)
-    np.conjugate(phase, out=a)
-    a *= b
-    a *= 0.25
-    return ComplexField(g, a)
+    spec = _s1_spectrum(F.values, g, phase)
+    b = ifft2(spec, overwrite_x=True)
+    np.multiply(np.conj(phase), b, out=b)
+    b *= 0.25
+    return ComplexField(g, b)
 
 
 def solve_w(
@@ -289,7 +294,6 @@ def solve_w(
     p: PhaseParams,
     tol: float = 1e-8,
     max_iter: int = 200,
-    check_support: bool = True,
 ) -> ComplexField:
     """Solve w = S1[V(1+w)] by Picard iteration on the Neumann series.
 
@@ -297,16 +301,14 @@ def solve_w(
     equals the step size ||w_{k+1} - w_k|| in grid L^2.  Raises NonConvergence
     when a step is not finite, when the steps stop decreasing (lambda below
     the contraction threshold for this potential) or when max_iter is
-    exhausted.  The zero potential gives w = 0 without a transform.
+    exhausted.  The zero potential gives w = 0 without a transform, and a
+    potential with mass in the padding band raises SupportViolation.
 
     Iterates on V's support box as the module docstring describes, with the
     spectra S_k in two padded_zeros arrays allocated once per call; the
     result is bit-identical to the field loop w <- s1_apply(V (1 + w)).
     """
-    if check_support:
-        box = check_padding_support(V, what="potential")
-    else:
-        box = support_box(V.values)
+    box = check_padding_support(V, what="potential")
     g = V.grid
     n = g.n_per_side
     if box is None:

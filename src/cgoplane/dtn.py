@@ -44,7 +44,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, MeshMismatch, NearSingular
+from .errors import BlobFormatError, DomainError, MeshMismatch, NearSingular
 from .grid import ComplexField
 from .utils import bilinear_sample, read_blob, write_blob
 
@@ -465,7 +465,11 @@ def save_dtn(path, dtn: DtnMatrix):
 
 
 def load_dtn(path) -> DtnMatrix:
+    """The DtnMatrix save_dtn wrote; BlobFormatError for a blob of another _VERSION."""
     header, entries = read_blob(path, _MAGIC)
+    if header.get("version") != _VERSION:
+        raise BlobFormatError(f"{path}: DtN blob of version {header.get('version')!r}, "
+                              f"this code reads version {_VERSION}")
     mesh = BoundaryMesh(center=tuple(header["mesh"]["center"]),
                         radius=header["mesh"]["radius"],
                         n_nodes=header["mesh"]["n_nodes"])
@@ -474,13 +478,19 @@ def load_dtn(path) -> DtnMatrix:
 
 def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
                       n_r: int = 128, potential_tag: str = "") -> DtnMatrix:
-    """Content-addressed cache wrapper around dtn_matrix; refuses a blob of another mesh."""
+    """Content-addressed cache wrapper around dtn_matrix.
+
+    A blob under the requested key that holds another mesh, n_r or potential
+    tag (a copied or renamed file) raises MeshMismatch.
+    """
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, cache_key(potential_hash, mesh, n_r) + ".dtn")
     if os.path.exists(path):
         dtn = load_dtn(path)
-        if not dtn.mesh.same_as(mesh) or dtn.grid_params.get("n_r") != n_r:
-            raise MeshMismatch(f"{path} holds a DtN matrix for another mesh or n_r")
+        if (not dtn.mesh.same_as(mesh) or dtn.grid_params.get("n_r") != n_r
+                or dtn.potential_tag != potential_tag):
+            raise MeshMismatch(f"{path} holds a DtN matrix for another mesh, n_r "
+                               "or potential")
         return dtn
     dtn = dtn_matrix(V, mesh, n_r=n_r, potential_tag=potential_tag)
     save_dtn(path, dtn)

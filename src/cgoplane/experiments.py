@@ -76,7 +76,10 @@ def _same_kind(value, default) -> bool:
     """value has the JSON type of default; an integer may stand for a float.
 
     A None default (an optional table) takes any value, and None may replace
-    a table to turn it off.
+    a table to turn it off.  A list's elements must each have the kind of the
+    default's first element, recursively, and a list whose default is not
+    empty must not be empty either.  An element that is itself a list (a
+    point, a complex value as a pair) must also have that element's length.
     """
     if default is None:
         return True
@@ -88,7 +91,11 @@ def _same_kind(value, default) -> bool:
         if isinstance(default, kind):
             return _is_number(value, kind)
     if isinstance(default, (list, tuple)):
-        return isinstance(value, (list, tuple))
+        if not isinstance(value, (list, tuple)) or (default and not value):
+            return False
+        item = default[0] if default else None
+        return all(_same_kind(v, item) and (not isinstance(item, (list, tuple))
+                                            or len(v) == len(item)) for v in value)
     return isinstance(value, type(default))
 
 
@@ -555,15 +562,18 @@ def _bandlimited_field(g, rng, xi_max):
 
 
 def _critical_field(g, rng, s, amp=1.0):
-    """Random field with spectral envelope |xi|^{-(1+s)}: borderline H^s in 2D."""
+    """Random field with spectral envelope |xi|^{-(1+s)}: borderline H^s in 2D.
+
+    The mean is removed before the taper, so the field keeps the taper's
+    support and passes the padding guard of solve_w.
+    """
     n = g.n_per_side
     with np.errstate(divide="ignore"):
         env = np.sqrt(g.xi_sq) ** (-(1.0 + s))
     env[0, 0] = 0.0
     phase = np.exp(2j * np.pi * rng.random((n, n)))
     f = ifft2(env * phase * (n * n)).real.astype(complex)
-    f = f * _taper(g)
-    f = f - np.mean(f)
+    f = (f - np.mean(f)) * _taper(g)
     return ComplexField(g, f / np.max(np.abs(f)) * amp)
 
 
@@ -657,8 +667,7 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
             fields = [_critical_field(g, rng_c, s, 0.8) for _ in range(n_fields)]
             for lam in lams2:
                 sups[lam].append(max(
-                    lam / np.pi * functional(p, *(solve_w(V, p, check_support=False)
-                                                  for V in fields))
+                    lam / np.pi * functional(p, *(solve_w(V, p) for V in fields))
                     for p in (PhaseParams(lam, x) for x in probes)))
         return [float(np.mean(sups[lam])) for lam in lams2]
 

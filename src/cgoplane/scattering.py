@@ -39,7 +39,6 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import CutoffExceedsNyquist, DomainError, NearSingular
 from .grid import ComplexField, FourierGrid, fft2, ifft2
 
-_EULER_GAMMA = 0.5772156649015328606
 _GMRES_TOL = 1e-13      # relative residual ||A u - inc|| / ||inc|| every solve must reach
 _GMRES_RESTART = 30
 _GMRES_MAXITER = 10     # restart cycles: at most 300 iterations per solve
@@ -101,7 +100,7 @@ class _NystromSystem:
         # diagonal: integrate the small-argument kernel over the equal-area disk
         log_int = h * h * (np.log(h / np.sqrt(np.pi)) - 0.5)  # int of ln|y| over the cell
         kern[n - 1, n - 1] = 0.25j * h * h - (1.0 / (2 * np.pi)) * (
-            h * h * (np.log(k / 2.0) + _EULER_GAMMA) + log_int)
+            h * h * (np.log(k / 2.0) + np.euler_gamma) + log_int)
         circ = np.zeros((2 * n, 2 * n), dtype=complex)
         circ[np.ix_(m % (2 * n), m % (2 * n))] = kern
         self._kern_hat = fft2(circ)

@@ -151,9 +151,18 @@ class TestPhaseMul:
         p = PhaseParams(64.0, (0.1, -0.05))
         s1 = 0.25 * cgo.dzbar_inv(cgo.phase_mul(cgo.dz_inv(cgo.phase_mul(F, p, +1)), p, -1),
                                   check_support=False)
+        assert np.array_equal(cgo.s1_apply(F, p).values, s1.values)
+
+    @pytest.mark.parametrize("n", [32, 128, 512])
+    @pytest.mark.parametrize("compact", [True, False], ids=["compact", "full-square"])
+    def test_s1_adjoint_is_the_composition_bit_for_bit(self, rng, n, compact):
+        # compact fields take the pruned first FFT, full-square ones the plain one
+        g = FourierGrid(n, 2.0)
+        F = (supported_noise(g, rng) if compact else ComplexField(
+            g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        p = PhaseParams(n / 2, (0.03, -0.02))
         adj = 0.25 * cgo.phase_mul(cgo.dzbar_inv(cgo.phase_mul(
             cgo.dz_inv(F, check_support=False), p, +1), check_support=False), p, -1)
-        assert np.array_equal(cgo.s1_apply(F, p).values, s1.values)
         assert np.array_equal(cgo.s1_adjoint(F, p).values, adj.values)
 
     @pytest.mark.parametrize("op", ["s1_apply", "s1_adjoint", "dz_inv", "dzbar_inv", "solve_w"])
@@ -232,6 +241,12 @@ class TestSolveW:
             norms.append(cgo.hs_norm(w, 0.5))
         assert norms[-1] < norms[0]
         assert fit_loglog_slope(lams, norms) <= -0.25
+
+    def test_potential_in_the_padding_band_refused(self, grid128):
+        V = gaussian_bump(grid128, amp=0.5)
+        V.values[0, 64] = 1e-3
+        with pytest.raises(SupportViolation, match="potential"):
+            cgo.solve_w(V, PhaseParams(16.0, (0.0, 0.0)))
 
     def test_under_resolved_lambda_warns(self, grid128):
         # lam * side^2 / n^2 = 400 * 16 / 128^2 > 1/4

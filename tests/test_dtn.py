@@ -10,7 +10,7 @@ from cgoplane.dtn import (BoundaryMesh, _condition_guard, _energy_apply, _interi
                           dtn_opnorm_diff, load_dtn, save_dtn, solve_dirichlet)
 from cgoplane.errors import BlobFormatError, DomainError, MeshMismatch, NearSingular
 from cgoplane.grid import ComplexField, FourierGrid
-from cgoplane.utils import read_blob
+from cgoplane.utils import read_blob, write_blob
 
 
 def bump_potential(amp=1.0, sigma=0.25):
@@ -242,6 +242,14 @@ class TestCache:
             shutil.copy(path, tmp_path / (cache_key("h", other, n_r) + ".dtn"))
             with pytest.raises(MeshMismatch):
                 dtn_matrix_cached(tmp_path, "h", None, other, n_r=n_r, potential_tag="zero")
+        # a blob for another potential under the requested key
+        with pytest.raises(MeshMismatch):
+            dtn_matrix_cached(tmp_path, "h", None, small, n_r=16, potential_tag="bump")
+        # a blob written at another discretization version under the requested key
+        header, entries = read_blob(path, b"DTNBLOB1")
+        write_blob(path, b"DTNBLOB1", {**header, "version": header["version"] - 1}, entries)
+        with pytest.raises(BlobFormatError, match="version"):
+            dtn_matrix_cached(tmp_path, "h", None, small, n_r=16, potential_tag="zero")
 
 
 class TestSingularityGuard:

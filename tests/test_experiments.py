@@ -10,10 +10,11 @@ from cgoplane.cgo import PhaseParams, alias_margin, homogeneous_weight, s1_apply
 from cgoplane.cli import main as cli_main
 from cgoplane.errors import BlobFormatError, ConfigError
 from cgoplane.experiments import (_FF_MAGIC, PWC_DISK_POTENTIAL, RUNNERS, ExperimentConfig,
-                                  _merge_params, _s1_opnorm, _save_far_field, lemma_defaults,
-                                  load_far_field, run_convergence, run_counterexample,
-                                  run_lemma_checks, run_scatter, run_stability, schedule_lambda)
-from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
+                                  _critical_field, _merge_params, _s1_opnorm, _save_far_field,
+                                  lemma_defaults, load_far_field, run_convergence,
+                                  run_counterexample, run_lemma_checks, run_scatter,
+                                  run_stability, schedule_lambda)
+from cgoplane.grid import ComplexField, FourierGrid, check_padding_support, fft2, ifft2
 from cgoplane.potentials import potential_from_description, rasterize
 from cgoplane.scattering import FarFieldData
 from cgoplane.utils import write_blob, write_json
@@ -87,6 +88,30 @@ class TestConfig:
                                params=params)
         with pytest.raises(ConfigError):
             run_stability(cfg)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("counterexample", {"t_values": ["0.5"]}),
+        ("stability", {"deltas": ["0.1"]}),
+        ("scatter", {"epsilons": ["0.2"]}),
+        ("convergence", {"variant": "pwc-disk", "probes": [["a", 0.0]]}),
+        ("stability", {"probes": [[0.1]]}),
+        ("counterexample", {"t_values": []}),
+        ("scatter", {"epsilons": []}),
+        ("convergence", {"variant": "pwc-disk", "probes": []}),
+        ("counterexample", {"lambdas": []}),
+        ("lemmas", {"phase_probes": []}),
+        ("stability", {"deltas": []}),
+    ], ids=["string-element", "string-delta", "string-epsilon", "string-coordinate",
+            "one-coordinate", "empty-t", "empty-epsilons", "empty-probes", "empty-lambdas",
+            "empty-phase-probes", "empty-deltas"])
+    def test_list_param_checked_element_by_element(self, tmp_path, experiment, params):
+        # elements of the default's first element's kind, and no empty list for a
+        # non-empty default, refused before the output directory exists
+        cfg = ExperimentConfig(name=experiment, out_dir=str(tmp_path / "o"), grid_n=64,
+                               params=params)
+        with pytest.raises(ConfigError):
+            RUNNERS[experiment](cfg)
         assert not (tmp_path / "o").exists()
 
     def test_growth_rings_checked_like_the_top_level(self, tmp_path):
@@ -273,6 +298,14 @@ class TestLemmaRunner:
                 M[:, j] = (w_out * fft2(f.values)).ravel()
             got = _s1_opnorm(g, lam, s1, s2, np.random.default_rng(0))
         assert got == pytest.approx(np.linalg.norm(M, 2), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512])
+    def test_critical_fields_keep_the_padding_margin(self, n):
+        # the correction-field sweep hands these to solve_w, which guards the band
+        g = FourierGrid(n, lemma_defaults()["side"])
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            check_padding_support(_critical_field(g, rng, 0.25, 0.8))
 
     def test_zero_like_trivial(self, tmp_path):
         # smoke only: the full suite is exercised by the acceptance module
