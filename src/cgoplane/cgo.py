@@ -69,7 +69,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence
-from .grid import ComplexField, FourierGrid, check_padding_support, fft2, ifft2, padded_zeros
+from .grid import (ComplexField, FourierGrid, check_padding_support, fft2, ifft2, padded_zeros,
+                   support_box)
 
 # distance a ghost stationary point must keep from the support of V (alias_margin)
 ALIAS_CLEARANCE = 0.1
@@ -357,11 +358,20 @@ def solve_w(
     )
 
 
-def t_w_lambda(F: ComplexField, w: ComplexField, p: PhaseParams) -> complex:
-    """(lam/pi) * integral of e^{i lam phi_x} F w over the grid."""
+def t_w_lambda(F: ComplexField, w: ComplexField, p: PhaseParams, shift=0.0) -> complex:
+    """(lam/pi) * integral of e^{i lam phi_x} F (shift + w) over the grid.
+
+    Only F's support box is summed: the integrand vanishes off it, so
+    shift + w is formed there only.
+    """
     if not F.grid.same_as(w.grid):
         raise ValueError("F and w must share a grid")
-    total = F.grid.h**2 * np.sum(_phase(F.grid, p) * F.values * w.values)
+    box = support_box(F.values)
+    if box is None:
+        return 0j
+    box = np.s_[box[0]:box[1], box[2]:box[3]]
+    total = F.grid.h**2 * np.sum(_phase(F.grid, p)[box] * F.values[box]
+                                 * (shift + w.values[box]))
     return complex(p.lam / np.pi * total)
 
 

@@ -15,15 +15,20 @@ The energy is kept only as its stencil: the center entry A_cc, the radial
 coupling c_{j+1/2} of ring j to ring j+1 (ring 0 is the center), and per ring
 its diagonal d_i and its one angular coupling o_i, so a ring block is
 diag(d_i) + o_i (P + P^T) with P the cyclic shift.  _energy_apply gives A u
-from these arrays.  Rings 1..k, up to the outermost interior ring k on which
-V is nonzero, are eliminated densely ring by ring; the stored ring solves
-S_i^{-1} C_i.  On the V-free rings k+1..n_r-1 the ring blocks are circulant,
-so the annulus is diagonal in the angular Fourier basis: one real tridiagonal
+from these arrays.  A ring block whose V samples are all equal is circulant,
+diagonal in the unitary angular Fourier basis F, and so is a V-free one; the
+elimination runs in three stages.  The core, the leading rings 1..j0 on which
+V is constant around (none unless the potential is radial near the center),
+is eliminated per Fourier mode n: one complex pivot per ring and mode, the
+center entering mode 0 only.  The dense band, rings j0+1..k up to the
+outermost interior ring k on which V is nonzero, is eliminated ring by ring;
+it stores the ring solves S_i^{-1} C_i, and starts from the core's circulant
+S_{j0}.  The annulus, the V-free rings k+1..n_r-1, is one real tridiagonal
 (Thomas) solve in r per mode, the direct Poisson solver on the disk of
 Swarztrauber & Sweet (SIAM J. Numer. Anal. 10, 1973).  It couples to the
-dense part only through M = F S_k F^H - c_k^2 diag(g_11) at ring k, inverted
-once.  A potential that reaches ring n_r-1 leaves no annulus and is
-eliminated densely throughout.  The guard's ||A_II||_1 is the stencil's
+rest only through M = F S_k F^H - c_k^2 diag(g_11) at ring k, inverted once.
+A potential that reaches ring n_r-1 leaves no annulus, and the band (or the
+core) runs to the boundary.  The guard's ||A_II||_1 is the stencil's
 largest column sum, and its estimate of ||A_II^{-1}||_1 is scipy's
 onenormest (t=1) through the stored elimination, with LAPACK's
 alternating-sign estimate as a floor.
@@ -109,7 +114,8 @@ def _thomas(pivots, offdiag, y):
 @dataclass
 class PolarOperator:
     """The energy form on the polar grid for one potential as its stencil, eliminated
-    from the center outward: densely through ring v_ring, then per Fourier mode."""
+    from the center outward: per Fourier mode through the core, densely through
+    ring v_ring, then per Fourier mode again."""
 
     mesh: BoundaryMesh
     n_r: int
@@ -120,7 +126,9 @@ class PolarOperator:
     interior_idx: np.ndarray
     boundary_idx: np.ndarray
     v_ring: int                 # k: the outermost interior ring with V != 0, at least 1
-    ring_solves: np.ndarray     # S_i^{-1} C_i for i = 1..k-1, or 1..n_r-1 with no annulus
+    core: np.ndarray            # S_{j,n}: per-mode pivots of the core rings j = 1..j0
+    ring_solves: np.ndarray     # S_i^{-1} C_i of the dense band: i = j0+1..k-1, or
+                                # j0+1..n_r-1 with no annulus
     annulus: Annulus | None     # rings k+1..n_r-1; None when k = n_r-1
     schur: np.ndarray           # S_{n_r}: the interior eliminated onto the boundary ring
     node_r: np.ndarray          # radius per dof
@@ -174,7 +182,7 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     angular = -ext / (r * dth)
     diag = (radial + np.append(radial[1:], 0.0) - angular - angular)[:, None] + ring_vw
     # A_cc sums V's weight, then the m couplings c_1/2 one at a time: the DtN data of
-    # cache version 3 carry the bits of that order, not of m * c_1/2
+    # cache versions 3 and 4 carry the bits of that order, not of m * c_1/2
     a_cc = v_weight[-1]
     for _ in range(m):
         a_cc += radial[0]
@@ -191,12 +199,25 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     # block Gaussian elimination from the center outward, C_i = -c_{i+1/2} I:
     # S_1 = A_11 - c_{1/2}^2 / A_cc (every entry), then S_{i+1} = A_{i+1,i+1} - C_i S_i^{-1} C_i
     n_dense = k - 1 if k < n_r - 1 else n_r - 1
-    ring_solves = np.empty((n_dense, m, m), dtype=np.complex128)
-    corr = radial[0] ** 2 / a_cc  # what the rings inside take off the next ring block
-    for i in range(1, n_dense + 1):
+    # the core: the leading rings whose V samples are equal bit for bit (exact equality:
+    # a tolerance would change the discretization) have circulant blocks
+    flat = np.all(ring_vw[:n_dense] == ring_vw[:n_dense, :1], axis=1)
+    j0 = int(np.logical_and.accumulate(flat).sum())
+    if j0:
+        # S_{j,n} = c_{j+1/2} + q_{j,n}; the center's excess A_cc - m c_{1/2} couples to
+        # mode 0 only, since the unitary DFT of the all-ones block is m e_0 e_0^T
+        row_sum = diag[:j0, 0] + 2 * angular[:j0] - radial[:j0] - radial[1:j0 + 1]
+        alpha = _angular_excess(row_sum, angular[:j0], m)
+        core = _chain(alpha, radial[:j0], start=v_weight[-1] / m) + radial[1:j0 + 1, None]
+        corr = radial[j0] ** 2 * sla.circulant(np.fft.ifft(1 / core[-1]))
+    else:
+        core = np.empty((0, m), dtype=np.complex128)
+        corr = radial[0] ** 2 / a_cc  # what the rings inside take off the next ring block
+    ring_solves = np.empty((n_dense - j0, m, m), dtype=np.complex128)
+    for i in range(j0 + 1, n_dense + 1):
         schur = ring_block(i) - corr
-        ring_solves[i - 1] = np.linalg.solve(schur, np.diag(np.full(m, -radial[i])))
-        corr = -radial[i] * ring_solves[i - 1]
+        ring_solves[i - j0 - 1] = np.linalg.solve(schur, np.diag(np.full(m, -radial[i])))
+        corr = -radial[i] * ring_solves[i - j0 - 1]
     annulus = None
     if n_dense == n_r - 1:
         schur = ring_block(n_r) - corr
@@ -205,14 +226,20 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
 
     op = PolarOperator(mesh=mesh, n_r=n_r, a_cc=a_cc, radial=radial, angular=angular,
                        diag=diag, interior_idx=interior_idx, boundary_idx=boundary_idx,
-                       v_ring=k, ring_solves=ring_solves, annulus=annulus, schur=schur,
-                       node_r=node_r, node_theta=node_theta, node_weight=node_weight,
-                       potential=v_nodes)
+                       v_ring=k, core=core, ring_solves=ring_solves, annulus=annulus,
+                       schur=schur, node_r=node_r, node_theta=node_theta,
+                       node_weight=node_weight, potential=v_nodes)
     _condition_guard(op)
     return op
 
 
-def _chain(alpha, c):
+def _angular_excess(row_sum, o, m):
+    """alpha_{j,n} = row_sum_j + 4 |o_j| sin^2(pi n / m): the eigenvalue of ring j's
+    circulant block at mode n in excess of its two radial couplings."""
+    return row_sum[:, None] - 4 * o[:, None] * np.sin(np.pi * np.arange(m) / m) ** 2
+
+
+def _chain(alpha, c, start=None):
     """Schur pivots of a chain of rings, less each ring's coupling onward.
 
     Ring j couples back by c[j] (to a fixed node for j = 0) and carries the
@@ -220,10 +247,13 @@ def _chain(alpha, c):
     ring 0 on, q_j = alpha_j + c_j q_{j-1} / (c_j + q_{j-1}) adds terms that
     are positive (up to the rounding of the stored row sums), so the low
     modes, where the Schur complement is much smaller than the ring block,
-    lose no digits to cancellation.
+    lose no digits to cancellation.  With a start value, mode 0 (column 0)
+    couples back to the center instead, whose excess per ring node is start.
     """
     q = np.empty_like(alpha)
     q[0] = alpha[0] + c[0]
+    if start is not None:
+        q[0, 0] = alpha[0, 0] + c[0] * start / (c[0] + start)
     for j in range(1, len(q)):
         q[j] = alpha[j] + c[j] * q[j - 1] / (c[j] + q[j - 1])
     return q
@@ -247,7 +277,7 @@ def _eliminate_annulus(diag, o, v_weight, c, corr, k):
     o = o[k - 1:]  # rings k..n_r
     d = (diag[k - 1:, 0] - v_weight[k - 1:, 0]).real
     row_sum = d + 2 * o - c[k - 1:] - np.append(c[k:], 0.0)  # zero up to rounding
-    alpha = row_sum[:, None] - 4 * o[:, None] * np.sin(np.pi * np.arange(m) / m) ** 2
+    alpha = _angular_excess(row_sum, o, m)
     outward = _chain(alpha[1:], c[k:])                   # rings k+1..n_r
     inward = _chain(alpha[-2::-1], c[n_r - 1:k - 1:-1])  # rings n_r-1..k
     pivots = outward[:-1] + c[k + 1:, None]
@@ -272,28 +302,48 @@ def _eliminate_annulus(diag, o, v_weight, c, corr, k):
 
 def _interior_solve(op: PolarOperator, b):
     """A_II^{-1} b, with b ordered like interior_idx (rings 1..n_r-1, then the center),
-    by one forward and one backward sweep over the stored ring solves, with the
-    annulus (if any) solved per Fourier mode in between."""
+    by one forward and one backward sweep: per Fourier mode over the core, over the
+    stored ring solves of the dense band, and with the annulus (if any) solved per
+    mode in between."""
     c = -op.radial  # A's couplings: the center to ring 1, then ring i to ring i+1
     k = op.v_ring
-    x = b[:-1].reshape(op.n_r - 1, -1).astype(np.complex128)
-    x[0] -= c[0] * b[-1] / op.a_cc
-    for i in range(k - 1):
-        x[i] = op.ring_solves[i] @ (x[i] / c[i + 1])
-        x[i + 1] -= c[i + 1] * x[i]
-    if op.annulus is None:
-        x[-1] = op.ring_solves[-1] @ (x[-1] / c[-1])
+    n_in = op.n_r - 1
+    j0 = len(op.core)
+    n_dense = j0 + len(op.ring_solves)
+    x = b[:-1].reshape(n_in, -1).astype(np.complex128)
+    if j0:
+        # the center's load enters mode 0 of ring 1: F 1 = sqrt(m) e_0
+        y = np.fft.fft(x[:j0], axis=1, norm="ortho")
+        y[0, 0] -= c[0] * np.sqrt(x.shape[1]) * b[-1] / op.a_cc
+        for j in range(j0):
+            y[j] /= op.core[j]
+            if j + 1 < j0:
+                y[j + 1] -= c[j + 1] * y[j]
+        if j0 < n_in:
+            x[j0] -= c[j0] * np.fft.ifft(y[-1], norm="ortho")
     else:
+        x[0] -= c[0] * b[-1] / op.a_cc
+    for i in range(j0, n_dense):
+        x[i] = op.ring_solves[i - j0] @ (x[i] / c[i + 1])
+        if i + 1 < n_in:
+            x[i + 1] -= c[i + 1] * x[i]
+    if op.annulus is not None:
         # rings k..n_r-1: eliminate the annulus onto ring k, solve there, substitute back
         ann = op.annulus
         c_k = c[k]
-        y = np.fft.fft(x[k - 1:], axis=1, norm="ortho")
-        z = _thomas(ann.pivots, ann.offdiag, y[1:])
-        y[0] = ann.m_inv @ (y[0] - c_k * z[0])
-        y[1:] = z - c_k * ann.first_col * y[0]
-        x[k - 1:] = np.fft.ifft(y, axis=1, norm="ortho")
-    for i in range(k - 2, -1, -1):
-        x[i] -= op.ring_solves[i] @ x[i + 1]
+        y_ann = np.fft.fft(x[k - 1:], axis=1, norm="ortho")
+        z = _thomas(ann.pivots, ann.offdiag, y_ann[1:])
+        y_ann[0] = ann.m_inv @ (y_ann[0] - c_k * z[0])
+        y_ann[1:] = z - c_k * ann.first_col * y_ann[0]
+        x[k - 1:] = np.fft.ifft(y_ann, axis=1, norm="ortho")
+    for i in range(min(n_dense, n_in - 1) - 1, j0 - 1, -1):
+        x[i] -= op.ring_solves[i - j0] @ x[i + 1]
+    if j0:
+        if j0 < n_in:
+            y[-1] -= c[j0] * np.fft.fft(x[j0], norm="ortho") / op.core[-1]
+        for j in range(j0 - 2, -1, -1):
+            y[j] -= c[j + 1] * y[j + 1] / op.core[j]
+        x[:j0] = np.fft.ifft(y, axis=1, norm="ortho")
     return np.append(x, (b[-1] - c[0] * x[0].sum()) / op.a_cc)
 
 
@@ -444,7 +494,7 @@ def dtn_opnorm_diff(A: DtnMatrix, B: DtnMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"DTNBLOB1"
-_VERSION = 3  # of the discretization: bump it when the DtN arithmetic changes
+_VERSION = 4  # of the discretization: bump it when the DtN arithmetic changes
 
 
 def cache_key(potential_hash: str, mesh: BoundaryMesh, n_r: int) -> str:

@@ -26,7 +26,7 @@ from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
                   dtn_matrix_cached, dtn_opnorm_diff, solve_dirichlet)
 from .errors import BlobFormatError, ConfigError
 from .geometry import curve_distance_c2
-from .grid import ComplexField, FourierGrid, fft2, ifft2
+from .grid import SUPPORT_TOL, ComplexField, FourierGrid, fft2, ifft2
 from .potentials import load_potential, potential_from_description, rasterize
 from .reconstruct import (AMPLIFICATION_BUDGET, amplification_exponent,
                           build_error_weight_map, bukhgeim_trace, lambda_sweep,
@@ -547,16 +547,21 @@ def run_stability(cfg: ExperimentConfig) -> dict:
 # lemma decay suite
 # ---------------------------------------------------------------------------
 
-def _taper(g, radius=0.3, width=0.04):
-    r2 = g.Z1**2 + g.Z2**2
+def _taper(r2, radius=0.3, width=0.04):
+    """1 inside the given radius, a Gaussian of the given width in r beyond it."""
     return np.exp(-np.maximum(r2 - radius**2, 0.0) / (2 * width**2))
+
+
+# headroom of the critical fields' taper under SUPPORT_TOL where the padding band
+# begins: a field's band values reached 1.2 times the taper's over 40 draws at 32^2-256^2
+_TAPER_HEADROOM = 10.0
 
 
 def _bandlimited_field(g, rng, xi_max):
     n = g.n_per_side
     spec = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     mask = np.sqrt(g.xi_sq) <= xi_max
-    f = ifft2(spec * mask) * _taper(g, radius=0.35)
+    f = ifft2(spec * mask) * _taper(g.Z1**2 + g.Z2**2, radius=0.35)
     f = f - np.mean(f)
     return ComplexField(g, f)
 
@@ -573,7 +578,7 @@ def _critical_field(g, rng, s, amp=1.0):
     env[0, 0] = 0.0
     phase = np.exp(2j * np.pi * rng.random((n, n)))
     f = ifft2(env * phase * (n * n)).real.astype(complex)
-    f = (f - np.mean(f)) * _taper(g)
+    f = (f - np.mean(f)) * _taper(g.Z1**2 + g.Z2**2)
     return ComplexField(g, f / np.max(np.abs(f)) * amp)
 
 
@@ -618,7 +623,12 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     """One decay/growth fit per lemma against its slope budget."""
     params = _merge_params(cfg, lemma_defaults(), groups=("growth",))
     fac = float(params["lambda_factor"])
-    g = FourierGrid(cfg.grid_n, float(params["side"]))
+    side = float(params["side"])
+    # solve_w refuses a critical field with mass in the padding band |z_i| > side/4
+    if _taper((side / 4) ** 2) * _TAPER_HEADROOM > SUPPORT_TOL:
+        raise ConfigError(f"lemmas side {side:g} is too small: the critical fields' taper "
+                          f"(radius 0.3, width 0.04) reaches the padding band at {side / 4:g}")
+    g = FourierGrid(cfg.grid_n, side)
     rng = np.random.default_rng(cfg.seed)
     probes = [tuple(p) for p in params["phase_probes"]]
     checks = []

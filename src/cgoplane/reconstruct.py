@@ -112,10 +112,10 @@ def reconstruct_boundary(A_V: DtnMatrix, A_0: DtnMatrix, V: ComplexField,
 
 def reconstruct_interior(V: ComplexField, p: PhaseParams,
                          w: ComplexField | None = None) -> complex:
-    """(lam/pi) * grid quadrature of e^{i lam phi_x} V (1 + w)."""
+    """(lam/pi) * grid quadrature of e^{i lam phi_x} V (1 + w), over V's support box."""
     if w is None:
         w = solve_w(V, p)
-    return t_w_lambda(V, 1 + w, p)
+    return t_w_lambda(V, w, p, shift=1.0)
 
 
 def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,

@@ -292,6 +292,18 @@ class TestOscFunctional:
         assert cgo.t_w_lambda(F, ComplexField.zeros(grid128), p) == 0.0
         assert cgo.t_w_lambda(ComplexField.zeros(grid128), F, p) == 0.0
 
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_box_sum_is_the_grid_sum(self, grid128, rng, shift):
+        # F vanishes off a box away from the center: summing over the box alone
+        # reorders the sum, so it agrees with the whole-grid quadrature to rounding
+        mask = (np.abs(grid128.Z1 - 0.3) < 0.4) & (np.abs(grid128.Z2 + 0.2) < 0.25)
+        F = ComplexField(grid128, supported_noise(grid128, rng).values * mask)
+        w = supported_noise(grid128, rng)
+        p = PhaseParams(20.0, (0.1, -0.05))
+        phase = np.exp(1j * p.lam * phi_values(grid128, p.x))
+        full = p.lam / np.pi * grid128.h**2 * np.sum(phase * F.values * (shift + w.values))
+        assert cgo.t_w_lambda(F, w, p, shift=shift) == pytest.approx(full, rel=1e-13)
+
     def test_decay_with_solved_w(self, grid256):
         V = gaussian_bump(grid256, sigma=0.12)
         vals = []

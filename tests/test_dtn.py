@@ -273,7 +273,9 @@ class TestSingularityGuard:
 
     @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
     def test_shifted_eigenvalue_passes(self, mu1, shift):
-        assemble_polar_operator(self.constant(-(mu1 + shift)), BoundaryMesh(n_nodes=64), n_r=32)
+        op = assemble_polar_operator(self.constant(-(mu1 + shift)), BoundaryMesh(n_nodes=64),
+                                     n_r=32)
+        assert len(op.core) == 31 and len(op.ring_solves) == 0  # the guard ran per mode
 
     def test_guard_is_deterministic(self):
         # the 1-norm estimate draws nothing from NumPy's global random stream
@@ -317,6 +319,7 @@ class TestAnnulusSingularityGuard:
         op = assemble_polar_operator(self.potential(mu1 + shift), BoundaryMesh(n_nodes=64),
                                      n_r=32)
         assert op.annulus is not None
+        assert len(op.core) == op.v_ring - 1 and len(op.ring_solves) == 0
 
 
 class TestInverseNormEstimate:
@@ -418,7 +421,14 @@ class TestAnnulusOracle:
         assert len(inner.ring_solves) < 15
         full = assemble_polar_operator(bump_potential(), mesh, n_r=16)
         assert full.v_ring == 15 and full.annulus is None
-        assert len(full.ring_solves) == 15
+        assert len(full.core) == 0 and len(full.ring_solves) == 15
+        # V constant around every ring it reaches: the core takes them all
+        disk = assemble_polar_operator(_centered_disk(0.5), mesh, n_r=16)
+        assert len(disk.core) == disk.v_ring - 1 and len(disk.ring_solves) == 0
+        # a constant core inside a band where V varies around the rings
+        lens = assemble_polar_operator(_lens_like, mesh, n_r=16)
+        assert len(lens.core) == 4 and lens.v_ring == 9
+        assert len(lens.ring_solves) == lens.v_ring - 1 - len(lens.core)
 
 
 @settings(max_examples=15, deadline=None)
@@ -428,6 +438,61 @@ def test_annulus_matches_dense_for_any_support_radius(ring, frac):
     op = assemble_polar_operator(_disk_supported((ring + frac) / 16), BoundaryMesh(n_nodes=64),
                                  n_r=16)
     assert op.v_ring == max(ring, 1)
+    defects = _dense_defects(op, np.random.default_rng(ring))
+    assert max(defects.values()) <= 1e-12, defects
+
+
+def _centered_disk(rho):
+    """A constant complex potential on the disk r <= rho about the mesh center."""
+    return lambda Z1, Z2: np.where(Z1**2 + Z2**2 <= rho**2, 3.0 + 1.0j, 0.0)
+
+
+def _lens_like(Z1, Z2):
+    """Constant for r <= 0.3, varying around the rings for 0.3 < r <= 0.6, then zero."""
+    r2 = Z1**2 + Z2**2
+    return np.where(r2 <= 0.09, 1.5 + 0.5j, np.where(r2 <= 0.36, (1.5 + 0.5j) * (1 + 0.3 * Z1), 0))
+
+
+class TestCoreOracle:
+    """The Fourier-mode elimination of the leading rings on which V is constant,
+    against dense solves (m = 64, n_r = 16)."""
+
+    POTENTIALS = {
+        # every interior ring per mode, and no annulus
+        "constant": lambda Z1, Z2: np.full(np.shape(Z1), 2.0 - 0.7j),
+        # rings 1-7 per mode; ring 8 (r = 0.5) is split by rounding, so M takes it
+        "disk": _centered_disk(0.5),
+        # rings 1-4 per mode, 5-8 dense, ring 9 in M, then the annulus
+        "lens": _lens_like,
+    }
+    LAYOUT = {"constant": (15, 0, 15), "disk": (7, 0, 8), "lens": (4, 4, 9)}
+
+    @pytest.fixture(scope="class", params=sorted(POTENTIALS))
+    def case(self, request):
+        op = assemble_polar_operator(self.POTENTIALS[request.param], BoundaryMesh(n_nodes=64),
+                                     n_r=16)
+        return request.param, op, _dense_defects(op, np.random.default_rng(11))
+
+    def test_layout(self, case):
+        name, op, _ = case
+        assert (len(op.core), len(op.ring_solves), op.v_ring) == self.LAYOUT[name]
+        assert (op.annulus is None) == (name == "constant")
+
+    @pytest.mark.parametrize("what", ["dtn", "dirichlet", "interior", "symmetry"])
+    def test_matches_dense(self, case, what):
+        assert case[2][what] <= 1e-12
+
+
+@settings(max_examples=15, deadline=None)
+@given(ring=st.integers(0, 15), frac=st.floats(0.05, 0.95))
+def test_core_matches_dense_for_any_disk_radius(ring, frac):
+    # a centered constant disk ending between ring `ring` and the next: every ring
+    # below k = max(ring, 1) goes per mode, and with ring 15 the whole interior does
+    op = assemble_polar_operator(_centered_disk((ring + frac) / 16), BoundaryMesh(n_nodes=64),
+                                 n_r=16)
+    assert op.v_ring == max(ring, 1)
+    assert len(op.core) == (15 if ring == 15 else op.v_ring - 1)
+    assert len(op.ring_solves) == 0
     defects = _dense_defects(op, np.random.default_rng(ring))
     assert max(defects.values()) <= 1e-12, defects
 

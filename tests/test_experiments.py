@@ -114,6 +114,14 @@ class TestConfig:
             RUNNERS[experiment](cfg)
         assert not (tmp_path / "o").exists()
 
+    def test_lemma_side_too_small_for_the_taper_refused(self, tmp_path):
+        # the critical fields' taper (radius 0.3) would reach the padding band at side/4
+        cfg = ExperimentConfig(name="lemmas", out_dir=str(tmp_path / "o"), grid_n=64,
+                               params={"side": 1.0})
+        with pytest.raises(ConfigError, match="side"):
+            run_lemma_checks(cfg)
+        assert not (tmp_path / "o").exists()
+
     def test_growth_rings_checked_like_the_top_level(self, tmp_path):
         cfg = ExperimentConfig(name="lemmas", out_dir=str(tmp_path / "o"), grid_n=64,
                                params={"growth": {"n_r": 1}})
