@@ -16,10 +16,10 @@ periodic inverses are the Fourier multipliers 2/(i(xi1 - i xi2)) and
 2/(i(xi1 + i xi2)) with the zero mode set to 0.  These are good surrogates
 for the Cauchy transforms of compactly supported fields as long as the
 support keeps the side_len/4 padding margin of the grid.  Both multipliers
-are cached per grid object, and e^{i lam phi_x} per (grid object, lam, x).
-phi_x separates, so the phase is built as the outer product of two 1-D
-chirps, e^{-i lam (z2 - x2)^2} and e^{i lam (z1 - x1)^2}: 2n exponentials, not
-n^2 (about 1 ms against 15 ms at 512^2 on 2 vCPU).
+are cached per grid object; e^{i lam phi_x} is built on every call that needs
+it.  phi_x separates, so the phase is the outer product of two 1-D chirps,
+e^{-i lam (z2 - x2)^2} and e^{i lam (z1 - x1)^2}: 2n exponentials, not n^2
+(about 1 ms against 15 ms at 512^2 on 2 vCPU).
 
 Sampled at spacing h, the phase has ghost stationary points at
 x + (pi / (lam h)) (k1, k2) for integers k1, k2, the nearest at
@@ -61,7 +61,6 @@ w <- s1_apply(V (1 + w)).
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -146,9 +145,9 @@ def dzbar_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
     return ComplexField(F.grid, _periodic_inverse(F.values, F.grid, _dzbar_symbol))
 
 
-def resolution_ok(grid: FourierGrid, lam: float) -> bool:
-    """Oscillation-resolution condition lam * side^2 / n^2 <= 1/4."""
-    return lam * grid.side_len**2 / grid.n_per_side**2 <= 0.25
+def lam_resolution_limit(grid: FourierGrid) -> float:
+    """Largest lam the grid resolves: lam * side^2 / n^2 <= 1/4."""
+    return 0.25 * grid.n_per_side**2 / grid.side_len**2
 
 
 def alias_margin(V: ComplexField, p: PhaseParams) -> float:
@@ -177,45 +176,41 @@ def alias_margin(V: ComplexField, p: PhaseParams) -> float:
     return float(s * np.min(np.hypot(d1 - k1, d2 - k2))) - ALIAS_CLEARANCE
 
 
-_phase_slot = threading.local()
-
-
 def _chirp(t, c, lam):
     """e^{i lam (t - c)^2} on the 1-D nodes t."""
     return np.exp(1j * lam * (t - c) ** 2)
 
 
-def _phase(grid: FourierGrid, p: PhaseParams) -> np.ndarray:
-    """e^{i lam phi_x} on the nodes, built once per (grid, p), read-only.
+def _phase(grid: FourierGrid, p: PhaseParams, box=None) -> np.ndarray:
+    """e^{i lam phi_x} on the nodes, read-only; on box = (r0, r1, c0, c1) only if given.
 
     phi_x = (z1 - x1)^2 - (z2 - x2)^2 separates, so the phase is the outer
     product of two 1-D chirps, e^{-i lam (z2 - x2)^2} down the rows and
     e^{i lam (z1 - x1)^2} along them: 2n exponentials instead of n^2.  Each
     chirp rounds its own argument, so the product is within
     4 eps lam max|z - x|^2 of the exponential of the joint argument (2.3e-13
-    at 512^2 of side 4, lam = 512), and exactly 1 at a node x.
+    at 512^2 of side 4, lam = 512), and exactly 1 at a node x.  The box phase
+    is the same two chirps cut to the box, so it equals that slice of the full
+    phase bit for bit.
 
-    One entry per thread, holding the grid object itself: the sweep threads of
-    a parallel run keep their own phase instead of evicting each other's.
+    The full phase warns (RuntimeWarning, pointed at the caller's caller) when
+    lam exceeds lam_resolution_limit: phase_mul, s1_apply, s1_adjoint and
+    solve_w each build it once.  The box phase, t_w_lambda's, does not warn.
     """
-    entry = getattr(_phase_slot, "entry", None)
-    if entry is not None and entry[0] is grid and entry[1] == p:
-        return entry[2]
-    phase = _chirp(grid.z2, p.x[1], -p.lam)[:, None] * _chirp(grid.z1, p.x[0], p.lam)
+    if box is None:
+        if not p.lam <= lam_resolution_limit(grid):
+            warnings.warn(
+                f"lam*side^2/n^2 = {p.lam * grid.side_len**2 / grid.n_per_side**2:.3g} "
+                "> 1/4: oscillatory factor under-resolved on this grid",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        box = (0, grid.n_per_side, 0, grid.n_per_side)
+    r0, r1, c0, c1 = box
+    phase = (_chirp(grid.z2[r0:r1], p.x[1], -p.lam)[:, None]
+             * _chirp(grid.z1[c0:c1], p.x[0], p.lam))
     phase.flags.writeable = False
-    _phase_slot.entry = (grid, p, phase)
     return phase
-
-
-def _warn_if_under_resolved(grid: FourierGrid, lam: float) -> None:
-    """RuntimeWarning, pointed at the caller's caller, when resolution_ok fails."""
-    if not resolution_ok(grid, lam):
-        warnings.warn(
-            f"lam*side^2/n^2 = {lam * grid.side_len**2 / grid.n_per_side**2:.3g} "
-            "> 1/4: oscillatory factor under-resolved on this grid",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
@@ -226,7 +221,6 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    _warn_if_under_resolved(F.grid, p.lam)
     phase = _phase(F.grid, p)
     return ComplexField(F.grid, (phase if sign > 0 else phase.conj()) * F.values)
 
@@ -262,7 +256,6 @@ def s1_apply(F: ComplexField, p: PhaseParams, check_support: bool = True) -> Com
     g = F.grid
     if check_support:
         check_padding_support(F)
-    _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
     spec = _s1_spectrum(phase * F.values, g, np.conj(phase), overwrite_x=True)
     b = ifft2(spec, overwrite_x=True)
@@ -281,7 +274,6 @@ def s1_adjoint(F: ComplexField, p: PhaseParams) -> ComplexField:
     functions, so the adjoint meets full-square fields.
     """
     g = F.grid
-    _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
     spec = _s1_spectrum(F.values, g, phase)
     b = ifft2(spec, overwrite_x=True)
@@ -315,7 +307,6 @@ def solve_w(
     if box is None:
         return ComplexField.zeros(g)
     r0, r1, c0, c1 = box
-    _warn_if_under_resolved(g, p.lam)
     phase = _phase(g, p)
     phase_conj = np.conj(phase)
     v_box, phase_box = V.values[r0:r1, c0:c1], phase[r0:r1, c0:c1]
@@ -361,17 +352,17 @@ def solve_w(
 def t_w_lambda(F: ComplexField, w: ComplexField, p: PhaseParams, shift=0.0) -> complex:
     """(lam/pi) * integral of e^{i lam phi_x} F (shift + w) over the grid.
 
-    Only F's support box is summed: the integrand vanishes off it, so
-    shift + w is formed there only.
+    Only F's support box is summed: the integrand vanishes off it, so the
+    phase and shift + w are formed there only.
     """
     if not F.grid.same_as(w.grid):
         raise ValueError("F and w must share a grid")
     box = support_box(F.values)
     if box is None:
         return 0j
-    box = np.s_[box[0]:box[1], box[2]:box[3]]
-    total = F.grid.h**2 * np.sum(_phase(F.grid, p)[box] * F.values[box]
-                                 * (shift + w.values[box]))
+    r0, r1, c0, c1 = box
+    total = F.grid.h**2 * np.sum(_phase(F.grid, p, box) * F.values[r0:r1, c0:c1]
+                                 * (shift + w.values[r0:r1, c0:c1]))
     return complex(p.lam / np.pi * total)
 
 
@@ -383,12 +374,6 @@ def homogeneous_weight(grid: FourierGrid, s: float) -> np.ndarray:
     return w
 
 
-def _weighted_l2(F: ComplexField, weight_sq) -> float:
-    """h/n * sqrt(sum weight_sq |F^hat|^2): weight_sq = 1 gives the grid L^2 norm."""
-    total = np.sum(weight_sq * np.abs(fft2(F.values)) ** 2)
-    return float(F.grid.h / F.grid.n_per_side * np.sqrt(total))
-
-
 def hs_norm(F: ComplexField, s: float) -> float:
     """Discrete homogeneous Sobolev norm || |xi|^s F^hat ||_{L^2}.
 
@@ -398,4 +383,4 @@ def hs_norm(F: ComplexField, s: float) -> float:
     """
     if not -1 < s < 1:
         raise ValueError("hs_norm supports only |s| < 1")
-    return _weighted_l2(F, homogeneous_weight(F.grid, 2 * s))
+    return F.weighted_l2_norm(homogeneous_weight(F.grid, 2 * s))

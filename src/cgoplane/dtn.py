@@ -146,7 +146,8 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
 
     V may be a ComplexField (sampled bilinearly onto the polar nodes), a
     callable V(z1, z2), or None for the Laplacian.  n_r >= 2 rings, the last
-    on the circle.
+    on the circle.  A sample of V that is not finite raises DomainError
+    before any elimination.
     """
     if n_r < 2:
         raise DomainError(f"the polar grid needs at least 2 rings, got n_r={n_r}")
@@ -173,6 +174,8 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
         v_nodes = bilinear_sample(V.grid, V.values, np.stack([z1, z2], axis=-1))
     else:
         v_nodes = np.asarray(V(z1, z2), dtype=np.complex128)
+    if not np.all(np.isfinite(v_nodes)):
+        raise DomainError("the potential is not finite at every polar node")
     v_weight = v_nodes * node_weight
     ring_vw = v_weight[:-1].reshape(n_r, m)
 
@@ -377,7 +380,7 @@ def _inverse_norm1_estimate(op: PolarOperator) -> float:
 
 
 def _condition_guard(op: PolarOperator) -> float:
-    """||A_II||_1 times the estimate of ||A_II^{-1}||_1; NearSingular above _COND_LIMIT.
+    """||A_II||_1 times the estimate of ||A_II^{-1}||_1; NearSingular above _COND_LIMIT or NaN.
 
     ||A_II||_1 is the largest column sum of |A_II|: a ring column holds |d_j|, 2|o_j|
     and its couplings to the interior rings (or the center) on either side."""
@@ -386,7 +389,7 @@ def _condition_guard(op: PolarOperator) -> float:
                  + (c[:-1] + np.append(c[1:-1], 0.0))[:, None])
     norm1 = max(ring_cols.max(), abs(op.a_cc) + op.mesh.n_nodes * c[0])
     cond = norm1 * _inverse_norm1_estimate(op)
-    if cond > _COND_LIMIT:
+    if not cond <= _COND_LIMIT:  # a NaN estimate is refused too
         raise NearSingular(
             f"interior operator condition estimate {cond:.2e} > {_COND_LIMIT:.0e}; "
             "0 is (numerically) a Dirichlet eigenvalue"

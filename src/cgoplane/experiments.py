@@ -20,8 +20,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, svds
 
 from . import reference
-from .cgo import (PhaseParams, alias_margin, homogeneous_weight, hs_norm, phase_mul,
-                  s1_adjoint, s1_apply, solve_w)
+from .cgo import (PhaseParams, alias_margin, homogeneous_weight, hs_norm,
+                  lam_resolution_limit, phase_mul, s1_adjoint, s1_apply, solve_w)
 from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
                   dtn_matrix_cached, dtn_opnorm_diff, solve_dirichlet)
 from .errors import BlobFormatError, ConfigError
@@ -476,7 +476,7 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     n_r = int(params["n_r"])
     side = float(params["side"])
     g = FourierGrid(cfg.grid_n, side)
-    lam_max = 0.25 * cfg.grid_n**2 / side**2
+    lam_max = lam_resolution_limit(g)
     out = _outdir(cfg)
 
     desc1 = _lens_potential_description(0.0, **lens)

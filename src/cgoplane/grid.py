@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as _sfft
 
-from .errors import SupportViolation
+from .errors import DomainError, SupportViolation
 
 # relative magnitude in the padding band that check_padding_support calls support
 SUPPORT_TOL = 1e-6
@@ -186,7 +186,7 @@ class ComplexField:
         if values.shape != (n, n):
             raise ValueError(f"values must have shape ({n}, {n}), got {values.shape}")
         if not np.all(np.isfinite(values.view(np.float64))):
-            raise ValueError("field values must be finite")
+            raise DomainError("field values must be finite")
         self.grid = grid
         self.values = values
 
@@ -232,6 +232,12 @@ class ComplexField:
     def l2_norm(self) -> float:
         """Grid L^2 norm, h * ||values||_2."""
         return float(self.grid.h * np.linalg.norm(self.values))
+
+    def weighted_l2_norm(self, weight_sq) -> float:
+        """Fourier-weighted L^2 norm h/n * sqrt(sum weight_sq |F^hat|^2); weight_sq = 1
+        gives the grid L^2 norm (Parseval)."""
+        total = np.sum(weight_sq * np.abs(fft2(self.values)) ** 2)
+        return float(self.grid.h / self.grid.n_per_side * np.sqrt(total))
 
     def mean(self) -> complex:
         return complex(np.mean(self.values))

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .cgo import _weighted_l2
 from .errors import ConfigError, SupportViolation
 from .geometry import GraphSegment, PiecewiseBoundary, SubDomain, make_disk, make_rhombus
 from .grid import ComplexField, FourierGrid, fft2, ifft2
@@ -125,7 +124,7 @@ def w_s1_norm(q: Callable, s: float, g: FourierGrid) -> float:
 
 def h_r_norm_field(F: ComplexField, r: float) -> float:
     """Inhomogeneous H^r norm of a sampled field (same weights as chi_hr_norm)."""
-    return _weighted_l2(F, (1.0 + F.grid.xi_sq) ** r)
+    return F.weighted_l2_norm((1.0 + F.grid.xi_sq) ** r)
 
 
 def dsr_norm_upper(V: PiecewisePotential, g: FourierGrid) -> float:

@@ -1,8 +1,11 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cgoplane import cgo
 from cgoplane.cgo import PhaseParams
@@ -61,6 +64,21 @@ class TestWirtingerInverses:
         rhs = cgo.dz_inv(F, check_support=False).conj()
         assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([16, 32, 64, 128]), side=st.floats(0.5, 20.0),
+           seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3), data=st.data())
+    def test_conjugation_identity_for_drawn_fields(self, n, side, seed, scale, data):
+        # noise plus drawn entries (the arrays strategy fills all but a few with
+        # one value), the Nyquist row and column included
+        rng = np.random.default_rng(seed)
+        drawn = data.draw(hnp.arrays(np.complex128, (n, n), elements=st.complex_numbers(
+            max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
+        F = ComplexField(FourierGrid(n, side), drawn + scale * (
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        rhs = cgo.dz_inv(F, check_support=False).conj()
+        lhs = cgo.dzbar_inv(F.conj(), check_support=False)
+        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * np.max(np.abs(rhs.values))
+
     def test_support_violation_propagates(self, grid128):
         shifted = ComplexField.from_function(
             grid128, lambda Z1, Z2: np.exp(-((Z1 - 1.6) ** 2 + Z2**2) / 0.02))
@@ -115,11 +133,38 @@ class TestPhaseMul:
         assert not got.flags.writeable
         assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps * lam * reach
 
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_box_phase_is_the_slice_of_the_full_phase_bit_for_bit(self, n):
+        g = FourierGrid(n, 4.0)
+        p = PhaseParams(384.0, (0.13, -0.07))
+        r0, r1, c0, c1 = box = (n // 3, n // 2 + 5, n // 4, n // 2 - 3)
+        got = cgo._phase(g, p, box)
+        assert not got.flags.writeable
+        assert got.tobytes() == cgo._phase(g, p)[r0:r1, c0:c1].tobytes()
+
     def test_resolution_warning(self, grid128):
         F = gaussian_bump(grid128)
         p = PhaseParams(1e6, (0.0, 0.0))
         with pytest.warns(RuntimeWarning):
             cgo.phase_mul(F, p, +1)
+
+    @pytest.mark.parametrize("call", [
+        lambda F, p: cgo.phase_mul(F, p, -1),
+        lambda F, p: cgo.s1_apply(F, p),
+        lambda F, p: cgo.s1_adjoint(F, p),
+        lambda F, p: cgo.solve_w(F, p),
+    ], ids=["phase_mul", "s1_apply", "s1_adjoint", "solve_w"])
+    def test_warning_starts_past_the_resolution_limit(self, grid128, call):
+        # one rule, lam <= 0.25 n^2 / side^2 (256 here); the warning points at the caller
+        F = gaussian_bump(grid128, amp=0.5)
+        lam = cgo.lam_resolution_limit(grid128)
+        assert lam == 256.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(F, PhaseParams(lam, (0.0, 0.0)))
+        with pytest.warns(RuntimeWarning, match="under-resolved") as record:
+            call(F, PhaseParams(np.nextafter(lam, np.inf), (0.0, 0.0)))
+        assert len(record) == 1 and record[0].filename == __file__
 
     def test_linearity_s1(self, grid128, rng):
         F = supported_noise(grid128, rng)
@@ -304,6 +349,24 @@ class TestOscFunctional:
         full = p.lam / np.pi * grid128.h**2 * np.sum(phase * F.values * (shift + w.values))
         assert cgo.t_w_lambda(F, w, p, shift=shift) == pytest.approx(full, rel=1e-13)
 
+    def test_phase_is_built_on_the_box_only_and_never_warns(self, grid128, rng, monkeypatch):
+        # rows 40..63 and columns 70..99 hold F; lam is far beyond the resolution limit
+        vals = np.zeros((128, 128), dtype=complex)
+        vals[40:64, 70:100] = supported_noise(grid128, rng).values[40:64, 70:100] + 1
+        F = ComplexField(grid128, vals)
+        lengths = []
+
+        def counted(t, c, lam):
+            lengths.append(len(t))
+            return chirp(t, c, lam)
+
+        chirp = cgo._chirp
+        monkeypatch.setattr(cgo, "_chirp", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cgo.t_w_lambda(F, F, PhaseParams(1e6, (0.0, 0.0)))
+        assert lengths == [24, 30]
+
     def test_decay_with_solved_w(self, grid256):
         V = gaussian_bump(grid256, sigma=0.12)
         vals = []
@@ -402,7 +465,7 @@ def test_solve_w_on_a_strip_is_the_field_picard_loop_bit_for_bit(grid128, rng, r
 
 class TestCaches:
     def test_s1_apply_never_serves_another_grid_or_phase(self, rng):
-        # equal n, so only the grid object tells the multipliers and phases apart
+        # equal n, so only the grid object tells the cached multipliers apart
         grids = [FourierGrid(64, 4.0), FourierGrid(64, 3.0),
                  FourierGrid(64, 4.0, center=(0.1, -0.05))]
         fields = [supported_noise(g, rng) for g in grids]
@@ -415,7 +478,7 @@ class TestCaches:
 
     def test_s1_apply_under_thread_contention(self, rng):
         # more threads than cores, switching often: each call must still get
-        # its own grid's multipliers and its own phase from the shared caches
+        # its own grid's multipliers from the shared cache, and its own phase
         grids = [FourierGrid(64, 4.0), FourierGrid(64, 3.0)]
         cases = [(supported_noise(g, rng), PhaseParams(lam, (0.05 * k, 0.0)))
                  for g in grids for k, lam in enumerate((8.0, 10.0, 12.0))]
@@ -432,7 +495,7 @@ class TestCaches:
             assert np.array_equal(got.values, expected[i % len(cases)])
 
     def test_convergence_threads_match_serial_bytes(self, tmp_path):
-        # the phase cache is shared by the sweep threads of jobs > 1
+        # the multiplier cache is shared by the sweep threads of jobs > 1
         params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0, 48.0, 64.0],
                   "mask_grid": None}
         outs = []
@@ -446,7 +509,7 @@ class TestCaches:
         assert outs[0] == outs[1]
 
     def test_convergence_threads_keep_their_phase(self, tmp_path, monkeypatch):
-        # each sweep thread keeps its own phase: jobs=2 builds no more than jobs=1
+        # every call builds its own phase, so jobs=2 builds no more than jobs=1
         builds = []
 
         def counted(t, c, lam):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+from cgoplane import dtn
 from cgoplane.dtn import (BoundaryMesh, _condition_guard, _energy_apply, _interior_solve,
                           _inverse_norm1_estimate, assemble_polar_operator, cache_key, dtn_matrix, dtn_matrix_cached,
                           dtn_opnorm_diff, load_dtn, save_dtn, solve_dirichlet)
@@ -289,6 +290,27 @@ class TestSingularityGuard:
             np.random.set_state(saved)
         second = assemble_polar_operator(V, BoundaryMesh(n_nodes=64), n_r=16)
         assert _condition_guard(first) == _condition_guard(second)
+
+
+class TestNonFinitePotential:
+    """A NaN or infinite polar sample is refused before any elimination."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imag-inf"])
+    def test_non_finite_samples_refused(self, bad, monkeypatch):
+        def eliminated(*args, **kwargs):
+            raise AssertionError("elimination ran on a non-finite potential")
+
+        monkeypatch.setattr(dtn, "_eliminate_annulus", eliminated)
+        V = lambda Z1, Z2: np.where(Z1**2 + Z2**2 < 0.25, bad, 0.0)  # noqa: E731
+        with pytest.raises(DomainError, match="not finite"):
+            assemble_polar_operator(V, BoundaryMesh(n_nodes=64), n_r=16)
+
+    def test_nan_condition_estimate_refused(self, monkeypatch):
+        # NaN > limit is False: the guard must not read a NaN as well conditioned
+        monkeypatch.setattr(dtn, "_inverse_norm1_estimate", lambda op: np.nan)
+        with pytest.raises(NearSingular, match="nan"):
+            assemble_polar_operator(bump_potential(), BoundaryMesh(n_nodes=64), n_r=16)
 
 
 class TestAnnulusSingularityGuard:

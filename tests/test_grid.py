@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from cgoplane.errors import SupportViolation
+from cgoplane.errors import DomainError, SupportViolation
 from cgoplane.grid import (ComplexField, FourierGrid, check_padding_support, fft2, ifft2,
                            padded_zeros, support_box)
 
@@ -40,6 +40,21 @@ def test_field_shape_and_finiteness():
     bad[3, 3] = np.nan
     with pytest.raises(ValueError):
         ComplexField(g, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_non_finite_field_is_a_domain_error(bad):
+    vals = np.zeros((64, 64), dtype=complex)
+    vals[3, 5] = bad
+    with pytest.raises(DomainError, match="finite"):
+        ComplexField(FourierGrid(64, 4.0), vals)
+
+
+def test_weighted_l2_norm_with_unit_weight_is_the_grid_l2_norm():
+    g = FourierGrid(64, 3.0)
+    F = ComplexField.from_function(g, lambda Z1, Z2: np.exp(-(Z1**2 + Z2**2)) * (1 + 1j * Z1))
+    assert F.weighted_l2_norm(1.0) == pytest.approx(F.l2_norm(), rel=1e-13)
+    assert F.weighted_l2_norm(4.0) == pytest.approx(2 * F.l2_norm(), rel=1e-13)
 
 
 def test_field_arithmetic_and_norms():

@@ -101,6 +101,44 @@ def test_no_unbounded_global_cache(path):
     assert global_caches(path.read_text()) == []
 
 
+def per_thread_state(source: str) -> list[str]:
+    """Module-level names bound to threading.local(), however threading or local was imported."""
+    tree = ast.parse(source)
+    modules, locals_ = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "threading")
+        elif isinstance(node, ast.ImportFrom) and node.module == "threading":
+            locals_.update(a.asname or a.name for a in node.names if a.name == "local")
+    found = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [getattr(node, "target", None)])
+        f = getattr(getattr(node, "value", None), "func", None)
+        if (isinstance(f, ast.Name) and f.id in locals_) or (
+                isinstance(f, ast.Attribute) and f.attr == "local"
+                and isinstance(f.value, ast.Name) and f.value.id in modules):
+            found.extend(f"{t.id} (line {node.lineno})" for t in targets
+                         if isinstance(t, ast.Name))
+    return sorted(found)
+
+
+def test_detector_sees_per_thread_state():
+    src = ("import threading\nimport threading as th\nfrom threading import local, local as L\n"
+           "_a = threading.local()\n_b: object = th.local()\n_c = _c2 = local()\n_d = L()\n"
+           "_e = threading.Lock()\n_f = other.local()\n"
+           "def f():\n    g = threading.local()\n    return g\n")
+    assert per_thread_state(src) == ["_a (line 4)", "_b (line 5)", "_c (line 6)",
+                                     "_c2 (line 6)", "_d (line 7)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_per_thread_module_state(path):
+    # a per-thread slot keeps one entry per thread for the life of the process,
+    # and a value built per call cannot be served to the wrong caller
+    assert per_thread_state(path.read_text()) == []
+
+
 TRANSFORMS = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
 
 

@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cgoplane.utils import read_blob, write_blob
+from cgoplane.utils import read_blob, write_blob, write_csv
 
 
 @settings(max_examples=30, deadline=None)
@@ -15,3 +17,37 @@ def test_blob_roundtrip_is_exact(tmp_path_factory, array, tag):
     assert header == {"tag": tag, "shape": list(array.shape), "dtype": "complex128"}
     assert back.shape == array.shape
     assert back.tobytes() == array.tobytes()  # bit for bit, NaN payloads and -0.0 included
+
+
+_FLOATS = st.floats(allow_nan=False)  # -0.0, subnormals, the largest values and inf included
+_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64),
+                   st.complex_numbers(allow_nan=False), st.booleans(), st.just(""))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=8))
+def test_csv_bytes_are_deterministic_and_numbers_parse_back(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(max(map(len, rows), default=1))]
+    write_csv(out / "a.csv", header, rows)
+    write_csv(out / "b.csv", header, rows)
+    assert (out / "a.csv").read_bytes() == (out / "b.csv").read_bytes()
+    with open(out / "a.csv", newline="") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == header and len(back) == len(rows) + 1
+    for row, cells in zip(rows, back[1:]):
+        assert len(cells) == len(row)
+        for v, cell in zip(row, cells):
+            if isinstance(v, bool) or v == "":
+                assert cell == str(v)
+            elif isinstance(v, float):
+                assert _bits(float(cell)) == _bits(v)  # bit for bit, -0.0 included
+            else:
+                # the real part bit for bit; the imaginary part by value, since
+                # its sign is written from imag >= 0, which holds for -0.0
+                back_v = complex(cell)
+                assert _bits(back_v.real) == _bits(v.real) and back_v.imag == v.imag
