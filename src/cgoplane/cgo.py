@@ -61,13 +61,14 @@ w <- s1_apply(V (1 + w)).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import DomainError, NonConvergence
 from .grid import (ComplexField, FourierGrid, check_padding_support, fft2, ifft2, padded_zeros,
                    support_box)
 
@@ -83,9 +84,12 @@ class PhaseParams:
     x: tuple[float, float]
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        object.__setattr__(self, "x", (float(self.x[0]), float(self.x[1])))
+        if not 0 < self.lam < np.inf:  # NaN fails this too
+            raise DomainError(f"lam must be positive and finite, got {self.lam}")
+        x = (float(self.x[0]), float(self.x[1]))
+        if not (math.isfinite(x[0]) and math.isfinite(x[1])):
+            raise DomainError(f"x must be a finite point, got {x}")
+        object.__setattr__(self, "x", x)
 
 
 def psi_at(z1, z2, x) -> np.ndarray:

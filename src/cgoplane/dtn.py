@@ -399,21 +399,10 @@ def _condition_guard(op: PolarOperator) -> float:
 
 @dataclass
 class PolarSolution:
-    """Interior solution on the polar grid; values[i, j] at radius r_i, angle theta_j.
-
-    Row 0 is the (replicated) center value, row n_r the boundary data.
-    """
+    """Interior solution on the polar grid."""
 
     op: PolarOperator
-    full: np.ndarray      # dof vector
-
-    @property
-    def values(self):
-        m = self.op.mesh.n_nodes
-        n_r = self.op.n_r
-        rings = self.full[: n_r * m].reshape(n_r, m)
-        center = np.full((1, m), self.full[-1])
-        return np.vstack([center, rings])
+    full: np.ndarray      # dof vector, ordered like the operator's: rings 1..n_r, then the center
 
     def h1_norm(self) -> float:
         """Discrete H^1 norm via the Dirichlet energy plus the L^2 mass."""
@@ -425,17 +414,14 @@ class PolarSolution:
         return float(np.sqrt(abs(grad.real) + mass))
 
 
-def solve_dirichlet(V, f, mesh: BoundaryMesh, n_r: int = 128,
-                    op: PolarOperator | None = None) -> PolarSolution:
-    """Solve Lap u = V u with u = f on the mesh nodes.
+def solve_dirichlet(op: PolarOperator, f) -> PolarSolution:
+    """Solve Lap u = V u with u = f on the mesh nodes of op, through op's stored
+    elimination; one op serves any number of traces.
 
-    f is a length-n_nodes complex vector of nodal Dirichlet data.  Pass a
-    pre-assembled ``op`` to reuse the factorization across traces.
+    f is a length-n_nodes complex vector of nodal Dirichlet data.
     """
-    if op is None:
-        op = assemble_polar_operator(V, mesh, n_r)
     f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (mesh.n_nodes,):
+    if f.shape != (op.mesh.n_nodes,):
         raise ValueError("boundary data must have one value per mesh node")
     full = np.zeros(op.n_dof, dtype=np.complex128)
     full[op.boundary_idx] = f
@@ -467,14 +453,11 @@ class DtnMatrix:
         return float(np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-300))
 
 
-def dtn_matrix(V, mesh: BoundaryMesh, n_r: int = 128, potential_tag: str = "",
-               op: PolarOperator | None = None) -> DtnMatrix:
-    """The DtN matrix S_{n_r} / omega: the energy pairing of the solved interior fields
-    of two boundary traces, so it is complex-symmetric by construction."""
-    if op is None:
-        op = assemble_polar_operator(V, mesh, n_r)
-    omega = mesh.arc_weights[0]
-    return DtnMatrix(op.schur / omega, mesh, potential_tag,
+def dtn_matrix(op: PolarOperator, potential_tag: str = "") -> DtnMatrix:
+    """The DtN matrix S_{n_r} / omega on op's mesh: the energy pairing of the solved
+    interior fields of two boundary traces, so it is complex-symmetric by construction."""
+    mesh = op.mesh
+    return DtnMatrix(op.schur / mesh.arc_weights[0], mesh, potential_tag,
                      grid_params={"n_r": op.n_r, "n_nodes": mesh.n_nodes})
 
 
@@ -531,7 +514,7 @@ def load_dtn(path) -> DtnMatrix:
 
 def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
                       n_r: int = 128, potential_tag: str = "") -> DtnMatrix:
-    """Content-addressed cache wrapper around dtn_matrix.
+    """Content-addressed cache wrapper around dtn_matrix; a miss assembles V's operator.
 
     A blob under the requested key that holds another mesh, n_r or potential
     tag (a copied or renamed file) raises MeshMismatch.
@@ -545,6 +528,6 @@ def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
             raise MeshMismatch(f"{path} holds a DtN matrix for another mesh, n_r "
                                "or potential")
         return dtn
-    dtn = dtn_matrix(V, mesh, n_r=n_r, potential_tag=potential_tag)
+    dtn = dtn_matrix(assemble_polar_operator(V, mesh, n_r), potential_tag)
     save_dtn(path, dtn)
     return dtn

@@ -60,6 +60,8 @@ class ExperimentConfig:
         if sched is not None and (not isinstance(sched, (list, tuple))
                                   or not all(_is_number(v, numbers.Real) for v in sched)):
             raise ConfigError(f"lambdas must be a list of numbers, got {sched!r}")
+        if sched is not None and not np.all(np.isfinite(sched)):
+            raise ConfigError(f"lambdas must be finite, got {sched!r}")
         if sched is not None and any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("lambda schedule must be strictly increasing")
         ref = self.params.get("potential_file")
@@ -482,7 +484,7 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     desc1 = _lens_potential_description(0.0, **lens)
     V1_pw = potential_from_description(desc1)
     V1 = rasterize(V1_pw, g)
-    A1 = dtn_matrix(V1_pw, mesh, n_r=n_r, potential_tag="lens-base")
+    A1 = dtn_matrix(assemble_polar_operator(V1_pw, mesh, n_r), "lens-base")
 
     probes = np.asarray(params["probes"], float)
     # per-delta measurements; moduli are |ln gap|^{1 - s/2}, schedule residuals
@@ -499,7 +501,7 @@ def run_stability(cfg: ExperimentConfig) -> dict:
         cdist = curve_distance_c2(V1_pw.pieces[0][1].boundary, V2_pw.pieces[0][1].boundary)
         if not np.isfinite(cdist):
             raise ConfigError("perturbed boundary lost the common cover")
-        A2 = dtn_matrix(V2_pw, mesh, n_r=n_r, potential_tag=f"lens-delta-{delta}")
+        A2 = dtn_matrix(assemble_polar_operator(V2_pw, mesh, n_r), f"lens-delta-{delta}")
         gap = dtn_opnorm_diff(A1, A2)
         lam = schedule_lambda(gap, diameter)
         clamped = lam > lam_max
@@ -718,7 +720,7 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     for lam in lams4:
         p = PhaseParams(lam, tuple(gr["x"]))
         tr = bukhgeim_trace(Vg, p, mesh)
-        sol = solve_dirichlet(None, tr, mesh, op=op)
+        sol = solve_dirichlet(op, tr)
         h1s.append(sol.h1_norm())
     record("special_solution_growth", lams4, h1s, None, 1.1 * (2 * radius) ** 2,
            note="linear fit of log H^1 norm vs lambda",
@@ -781,7 +783,7 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
         for eta, theta in directions:
             sol = solve_lippmann_schwinger(V, k, theta)
             residuals.append(sol.residual)
-            a = far_field(V, k, eta, theta, solution=sol)
+            a = far_field(V, eta, sol)
             worst = max(worst, abs(a - born_amp(eps, eta, theta)) / abs(born_amp(eps, eta, theta)))
         mismatches.append(worst)
     halving_ratio = mismatches[0] / mismatches[1] if len(mismatches) > 1 else None

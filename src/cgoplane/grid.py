@@ -200,9 +200,6 @@ class ComplexField:
         """Sample fn(Z1, Z2) on the nodes."""
         return cls(grid, np.asarray(fn(grid.Z1, grid.Z2), dtype=np.complex128))
 
-    def copy(self):
-        return ComplexField(self.grid, self.values.copy())
-
     def conj(self):
         return ComplexField(self.grid, np.conj(self.values))
 

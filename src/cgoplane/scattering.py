@@ -154,15 +154,13 @@ def solve_lippmann_schwinger(V: ComplexField, k: float, theta) -> ScatterSolutio
     return _NystromSystem(V, k).solve(theta)
 
 
-def far_field(V: ComplexField, k: float, eta, theta,
-              solution: ScatterSolution | None = None) -> complex:
-    """Scattering amplitude A_V(eta, theta) by grid quadrature."""
-    if solution is None:
-        solution = solve_lippmann_schwinger(V, k, theta)
+def far_field(V: ComplexField, eta, solution: ScatterSolution) -> complex:
+    """Scattering amplitude A_V(eta, theta) by grid quadrature, from the total field
+    ``solution`` that solve_lippmann_schwinger gave for V at its k and theta."""
     g = V.grid
     eta = np.asarray(eta, float)
     eta = eta / np.hypot(eta[0], eta[1])
-    phase = plane_waves(g, k, -eta)
+    phase = plane_waves(g, solution.k, -eta)
     return complex(g.h**2 * np.sum(phase * V.values.ravel() * solution.u))
 
 

@@ -55,7 +55,9 @@ def _fmt(v):
     if isinstance(v, float):
         return repr(float(v))
     if isinstance(v, complex):
-        return f"{float(v.real)!r}{'+' if v.imag >= 0 else '-'}{float(abs(v.imag))!r}j"
+        # the sign by copysign, so an imaginary part of -0.0 keeps its minus
+        sign = "-" if math.copysign(1.0, v.imag) < 0 else "+"
+        return f"{float(v.real)!r}{sign}{float(abs(v.imag))!r}j"
     return str(v)
 
 

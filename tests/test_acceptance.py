@@ -17,12 +17,13 @@ import numpy as np
 import pytest
 
 from cgoplane import reference
-from cgoplane.cgo import PhaseParams
+from cgoplane.cgo import PhaseParams, lam_resolution_limit
 from cgoplane.dtn import BoundaryMesh, assemble_polar_operator, dtn_matrix, solve_dirichlet
 from cgoplane.experiments import (ExperimentConfig, run_convergence,
                                   run_counterexample, run_lemma_checks,
-                                  run_scatter, run_stability)
+                                  run_scatter, run_stability, stability_defaults)
 from cgoplane.geometry import GraphSegment, make_disk
+from cgoplane.grid import FourierGrid
 from cgoplane.stationary import (degenerate_locus, find_stationary, phase_on_curve,
                                  stationarity_residuals, tangent_set_area)
 
@@ -159,8 +160,8 @@ def test_criterion_5_dtn_fidelity():
     op0 = assemble_polar_operator(None, mesh, n_r=192)
     vfun = lambda Z1, Z2: np.exp(-(Z1**2 + Z2**2) / (2 * 0.25**2))  # noqa: E731
     opV = assemble_polar_operator(vfun, mesh, n_r=192)
-    A0 = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
-    AV = dtn_matrix(None, mesh, op=opV, potential_tag="bump")
+    A0 = dtn_matrix(op0, potential_tag="zero")
+    AV = dtn_matrix(opV, potential_tag="bump")
 
     checks = []
     eigs = np.fft.fft(A0.entries[:, 0]).real
@@ -174,8 +175,8 @@ def test_criterion_5_dtn_fidelity():
     f1 = np.exp(1j * 2 * mesh.theta)
     f2 = np.exp(-1j * 2 * mesh.theta)
     lhs = complex(np.sum(mesh.arc_weights * ((AV.entries - A0.entries) @ f1) * f2))
-    u1 = solve_dirichlet(None, f1, mesh, op=opV)
-    u2 = solve_dirichlet(None, f2, mesh, op=op0)
+    u1 = solve_dirichlet(opV, f1)
+    u2 = solve_dirichlet(op0, f2)
     z1 = opV.node_r * np.cos(opV.node_theta)
     z2 = opV.node_r * np.sin(opV.node_theta)
     rhs = complex(np.sum(u1.full * u2.full * vfun(z1, z2) * opV.node_weight))
@@ -288,7 +289,8 @@ def test_criterion_7_scattering(tmp_path):
 
 def test_criterion_8_stability_experiment(tmp_path):
     cfg = ExperimentConfig(name="stability", out_dir=str(tmp_path), grid_n=256)
-    run = run_stability(cfg)["run"]
+    summary = run_stability(cfg)
+    run = summary["run"]
 
     checks = []
     gaps = run["dtn_gaps"]
@@ -301,6 +303,16 @@ def test_criterion_8_stability_experiment(tmp_path):
                                      run["lambda_clamped"]))
     checks.append(("lambda schedule satisfies the log rule to round-off (or clamps)",
                    sched_ok, f"residuals {['%.1e' % r for r in run['schedule_residuals']]}"))
+    # the rule recomputed from the reported gaps: the residuals above come from the
+    # expression that built lambda, so they read 0 whatever that expression was
+    lam_max = lam_resolution_limit(FourierGrid(cfg.grid_n, stability_defaults()["side"]))
+    rule = [-np.log(g) / (6 * summary["diameter"] ** 2) if g > 0 else np.inf for g in gaps]
+    rule_ok = all(lam == lam_max < want if clamped
+                  else want <= lam_max and abs(lam - want) <= 1e-12 * want
+                  for lam, want, clamped in zip(run["lambdas"], rule, run["lambda_clamped"]))
+    checks.append(("lambda recomputed from gap and diameter (or the resolution limit)",
+                   rule_ok, f"rule {['%.6g' % r for r in rule]}, lambdas "
+                   f"{['%.6g' % v for v in run['lambdas']]}, limit {lam_max:.6g}"))
     # moduli |ln gap|^{1-s/2} decrease along the deltas; errors must not grow
     mods = run["moduli"]
     errs = run["sup_errors"]

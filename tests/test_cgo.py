@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from cgoplane import cgo
 from cgoplane.cgo import PhaseParams
-from cgoplane.errors import NonConvergence, SupportViolation
+from cgoplane.errors import DomainError, NonConvergence, SupportViolation
 from cgoplane.experiments import PWC_DISK_POTENTIAL, ExperimentConfig, run_convergence
 from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
 from cgoplane.potentials import potential_from_description, rasterize
@@ -23,6 +23,16 @@ def test_phase_params_validation():
         PhaseParams(0.0, (0.0, 0.0))
     p = PhaseParams(4.0, (0.25, -0.5))
     assert p.x == (0.25, -0.5)
+
+
+@pytest.mark.parametrize("lam,x", [
+    (np.nan, (0.0, 0.0)), (np.inf, (0.0, 0.0)), (-np.inf, (0.0, 0.0)),
+    (4.0, (np.nan, 0.0)), (4.0, (0.0, np.inf)), (4.0, (-np.inf, np.nan)),
+], ids=["lam-nan", "lam-inf", "lam-minus-inf", "x1-nan", "x2-inf", "both-non-finite"])
+def test_phase_params_refuse_non_finite_values(lam, x):
+    # NaN <= 0 is False, so a sign test alone let NaN through to the solver
+    with pytest.raises(DomainError):
+        PhaseParams(lam, x)
 
 
 class TestWirtingerInverses:

@@ -73,21 +73,23 @@ class TestStencil:
 
 class TestSolveDirichlet:
     def test_constant_data_exact(self, mesh, op0):
-        sol = solve_dirichlet(None, np.ones(128, dtype=complex), mesh, op=op0)
+        sol = solve_dirichlet(op0, np.ones(128, dtype=complex))
         assert np.max(np.abs(sol.full - 1.0)) < 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_harmonic_extension(self, mesh, op0, n):
         f = np.cos(n * mesh.theta).astype(complex)
-        sol = solve_dirichlet(None, f, mesh, op=op0)
+        sol = solve_dirichlet(op0, f)
+        # the center dof, then rings 1..n_r
+        values = np.vstack([np.full((1, 128), sol.full[-1]), sol.full[:-1].reshape(op0.n_r, 128)])
         r = np.arange(op0.n_r + 1) / op0.n_r
         exact = (r[:, None] ** n) * np.cos(n * mesh.theta)[None, :]
-        assert np.max(np.abs(sol.values - exact)) < 0.02
+        assert np.max(np.abs(values - exact)) < 0.02
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_h1_norm_of_harmonic_extension(self, mesh, op0, n):
         # u = r^n cos(n theta): Dirichlet energy n pi plus L^2 mass pi / (2n + 2)
-        sol = solve_dirichlet(None, np.cos(n * mesh.theta).astype(complex), mesh, op=op0)
+        sol = solve_dirichlet(op0, np.cos(n * mesh.theta).astype(complex))
         exact = np.sqrt(n * np.pi + np.pi / (2 * n + 2))
         assert abs(sol.h1_norm() - exact) / exact < 2e-3
 
@@ -95,9 +97,9 @@ class TestSolveDirichlet:
         f1 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         f2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         a, b = 1.7 - 0.3j, -0.4 + 0.9j
-        s12 = solve_dirichlet(None, a * f1 + b * f2, mesh, op=opV)
-        s1 = solve_dirichlet(None, f1, mesh, op=opV)
-        s2 = solve_dirichlet(None, f2, mesh, op=opV)
+        s12 = solve_dirichlet(opV, a * f1 + b * f2)
+        s1 = solve_dirichlet(opV, f1)
+        s2 = solve_dirichlet(opV, f2)
         lhs = s12.full
         rhs = a * s1.full + b * s2.full
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-10
@@ -105,7 +107,7 @@ class TestSolveDirichlet:
     def test_discrete_equation_satisfied(self, mesh, opV, rng):
         # energy gradient (the 5-point polar scheme) vanishes at interior dofs
         f = rng.standard_normal(128) + 0j
-        sol = solve_dirichlet(None, f, mesh, op=opV)
+        sol = solve_dirichlet(opV, f)
         resid = _energy_apply(opV, sol.full)
         interior_resid = np.max(np.abs(resid[opV.interior_idx]))
         assert interior_resid < 1e-9 * np.max(np.abs(sol.full))
@@ -113,11 +115,11 @@ class TestSolveDirichlet:
 
 class TestDtnMatrix:
     def test_complex_symmetry(self, mesh, opV):
-        A = dtn_matrix(None, mesh, op=opV, potential_tag="bump")
+        A = dtn_matrix(opV, potential_tag="bump")
         assert A.symmetry_defect() <= 1e-6
 
     def test_disk_fourier_eigenvalues(self, mesh, op0):
-        A0 = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
+        A0 = dtn_matrix(op0, potential_tag="zero")
         eigs = np.fft.fft(A0.entries[:, 0]).real
         freqs = np.fft.fftfreq(128, d=1.0 / 128).astype(int)
         for n in range(1, 9):
@@ -127,27 +129,27 @@ class TestDtnMatrix:
 
     def test_extension_independence(self, mesh, opV, rng):
         # pairing with the solved extension vs a different interior extension
-        A = dtn_matrix(None, mesh, op=opV, potential_tag="bump")
+        A = dtn_matrix(opV, potential_tag="bump")
         f = np.exp(1j * 3 * mesh.theta)
         g = np.exp(-1j * 3 * mesh.theta) + 0.5 * np.cos(mesh.theta)
         pair_matrix = A.pair(f, g)
-        u = solve_dirichlet(None, f, mesh, op=opV)
+        u = solve_dirichlet(opV, f)
         # extension of g: solve with the *zero* potential operator (different
         # interior values, same trace)
         op0b = assemble_polar_operator(None, mesh, n_r=opV.n_r)
-        v = solve_dirichlet(None, g, mesh, op=op0b)
+        v = solve_dirichlet(op0b, g)
         pair_weak = complex(u.full @ _energy_apply(opV, v.full))
         assert abs(pair_matrix - pair_weak) / abs(pair_matrix) < 1e-6
 
     def test_alessandrini_identity(self, mesh, opV, op0):
         # <(Lam_V - Lam_0) f1, f2> = int (V - 0) u1 u2 with a nonzero pairing
-        AV = dtn_matrix(None, mesh, op=opV, potential_tag="bump")
-        A0 = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
+        AV = dtn_matrix(opV, potential_tag="bump")
+        A0 = dtn_matrix(op0, potential_tag="zero")
         f1 = np.exp(1j * 2 * mesh.theta)
         f2 = np.exp(-1j * 2 * mesh.theta)
         lhs = complex(np.sum(mesh.arc_weights * ((AV.entries - A0.entries) @ f1) * f2))
-        u1 = solve_dirichlet(None, f1, mesh, op=opV)
-        u2 = solve_dirichlet(None, f2, mesh, op=op0)
+        u1 = solve_dirichlet(opV, f1)
+        u2 = solve_dirichlet(op0, f2)
         vfun = bump_potential()
         z1 = opV.node_r * np.cos(opV.node_theta)
         z2 = opV.node_r * np.sin(opV.node_theta)
@@ -156,10 +158,12 @@ class TestDtnMatrix:
 
     def test_continuity_in_potential(self, mesh):
         # || Dtn(V + delta) - Dtn(V) || shrinks linearly in ||delta||_inf
-        base = dtn_matrix(bump_potential(1.0), mesh, n_r=96, potential_tag="b")
+        base = dtn_matrix(assemble_polar_operator(bump_potential(1.0), mesh, n_r=96),
+                          potential_tag="b")
         gaps = []
         for d in (1e-1, 1e-2, 1e-3):
-            pert = dtn_matrix(bump_potential(1.0 + d), mesh, n_r=96, potential_tag="p")
+            pert = dtn_matrix(assemble_polar_operator(bump_potential(1.0 + d), mesh, n_r=96),
+                              potential_tag="p")
             gaps.append(np.linalg.norm(pert.entries - base.entries))
         assert gaps[0] > gaps[1] > gaps[2]
         ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
@@ -169,12 +173,12 @@ class TestDtnMatrix:
 
 class TestOpnormDiff:
     def test_zero_for_equal(self, mesh, op0):
-        A = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
-        B = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
+        A = dtn_matrix(op0, potential_tag="zero")
+        B = dtn_matrix(op0, potential_tag="zero")
         assert dtn_opnorm_diff(A, B) == 0.0
 
     def test_identity_perturbation_weights(self, mesh, op0):
-        A = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
+        A = dtn_matrix(op0, potential_tag="zero")
         eps = 1e-3
         from cgoplane.dtn import DtnMatrix
         B = DtnMatrix(A.entries + eps * np.eye(128), mesh, "pert")
@@ -182,7 +186,7 @@ class TestOpnormDiff:
         assert abs(dtn_opnorm_diff(A, B) - eps) < 1e-12
 
     def test_high_modes_weigh_less(self, mesh, op0):
-        A = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
+        A = dtn_matrix(op0, potential_tag="zero")
         from cgoplane.dtn import DtnMatrix
         ns = mesh.fourier_n
         dft = np.fft.fft(np.eye(128), axis=0) / np.sqrt(128)
@@ -196,16 +200,16 @@ class TestOpnormDiff:
         assert g_hi < g_lo
 
     def test_mesh_mismatch(self, mesh, op0):
-        A = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
+        A = dtn_matrix(op0, potential_tag="zero")
         other = BoundaryMesh(radius=0.9, n_nodes=128)
-        B = dtn_matrix(None, other, n_r=96, potential_tag="zero")
+        B = dtn_matrix(assemble_polar_operator(None, other, n_r=96), potential_tag="zero")
         with pytest.raises(MeshMismatch):
             dtn_opnorm_diff(A, B)
 
 
 class TestCache:
     def test_blob_roundtrip(self, tmp_path, mesh, op0):
-        A = dtn_matrix(None, mesh, op=op0, potential_tag="zero")
+        A = dtn_matrix(op0, potential_tag="zero")
         path = tmp_path / "a.dtn"
         save_dtn(path, A)
         B = load_dtn(path)
@@ -215,7 +219,7 @@ class TestCache:
 
     def test_damaged_blob_rejected(self, tmp_path, mesh, op0):
         path = tmp_path / "a.dtn"
-        save_dtn(path, dtn_matrix(None, mesh, op=op0, potential_tag="zero"))
+        save_dtn(path, dtn_matrix(op0, potential_tag="zero"))
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])
         with pytest.raises(BlobFormatError):
@@ -227,7 +231,7 @@ class TestCache:
 
     def test_cached_matches_uncached(self, tmp_path, mesh):
         v = bump_potential(0.7)
-        direct = dtn_matrix(v, mesh, n_r=96, potential_tag="t")
+        direct = dtn_matrix(assemble_polar_operator(v, mesh, n_r=96), potential_tag="t")
         c1 = dtn_matrix_cached(tmp_path, "hash1", v, mesh, n_r=96, potential_tag="t")
         c2 = dtn_matrix_cached(tmp_path, "hash1", v, mesh, n_r=96, potential_tag="t")
         assert np.max(np.abs(c1.entries - direct.entries)) < 1e-12
@@ -380,9 +384,9 @@ def _dense_defects(op, rng):
     full[op.interior_idx] = np.linalg.solve(a_ii, -a_ib)
     full[op.boundary_idx] = np.eye(m)
     gram = full.T @ energy @ full / mesh.arc_weights[0]
-    dtn = dtn_matrix(None, mesh, op=op)
+    dtn = dtn_matrix(op)
     f = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    sol = solve_dirichlet(None, f, mesh, op=op).full[op.interior_idx]
+    sol = solve_dirichlet(op, f).full[op.interior_idx]
     b = rng.standard_normal(a_ii.shape[0]) + 1j * rng.standard_normal(a_ii.shape[0])
     return {"dtn": rel(dtn.entries, gram), "dirichlet": rel(sol, np.linalg.solve(a_ii, -a_ib @ f)),
             "interior": rel(_interior_solve(op, b), np.linalg.solve(a_ii, b)),
@@ -526,8 +530,9 @@ def test_complex_symmetry_for_random_potentials(modulus, arg, c1, c2, sigma):
     # |V| <= 5 stays below the first Dirichlet eigenvalue of the disk (about 5.78),
     # so 0 is never one and the guard cannot refuse
     amp = modulus * np.exp(1j * arg)
-    A = dtn_matrix(lambda Z1, Z2: amp * np.exp(-((Z1 - c1)**2 + (Z2 - c2)**2) / (2 * sigma**2)),
-                   BoundaryMesh(n_nodes=64), n_r=16)
+    A = dtn_matrix(assemble_polar_operator(
+        lambda Z1, Z2: amp * np.exp(-((Z1 - c1)**2 + (Z2 - c2)**2) / (2 * sigma**2)),
+        BoundaryMesh(n_nodes=64), n_r=16))
     assert A.symmetry_defect() <= 1e-12
 
 
@@ -535,8 +540,9 @@ def test_potential_from_field_sampling(mesh):
     # ComplexField input is interpolated onto the polar nodes
     g = FourierGrid(128, 4.0)
     V = ComplexField.from_function(g, bump_potential())
-    a_field = dtn_matrix(V, mesh, n_r=96, potential_tag="field")
-    a_callable = dtn_matrix(bump_potential(), mesh, n_r=96, potential_tag="callable")
+    a_field = dtn_matrix(assemble_polar_operator(V, mesh, n_r=96), potential_tag="field")
+    a_callable = dtn_matrix(assemble_polar_operator(bump_potential(), mesh, n_r=96),
+                            potential_tag="callable")
     rel = (np.linalg.norm(a_field.entries - a_callable.entries)
            / np.linalg.norm(a_callable.entries))
     assert rel < 1e-3

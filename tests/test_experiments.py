@@ -25,6 +25,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", params={"lambdas": [8.0, 4.0]})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_lambda_refused(self, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig(name="convergence", params={"lambdas": [128.0, bad]})
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_lambda_in_config_file_refused_before_any_output(self, tmp_path, token):
+        # json.load reads NaN and Infinity, and NaN <= 128 is False, so the
+        # schedule's order check alone let NaN through to the whole sweep
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"params": {"variant": "pwc-disk", "lambdas": [128.0, %s]}}' % token)
+        with pytest.raises(ConfigError):
+            cli_main(["convergence", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                      "--grid", "64"])
+        assert not (tmp_path / "o").exists()
+
     def test_missing_description_file(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", params={"potential_file": "/nope/none.json"})

@@ -290,3 +290,80 @@ API_ALLOWLIST = {
 def test_no_dead_public_api():
     # a public name nothing in the package calls is either dead or needs a reason here
     assert set(unused_public_api(*(p.read_text() for p in MODULES))) == API_ALLOWLIST
+
+
+def defaults_never_set(source: str, *callers: str) -> list[str]:
+    """Defaulted parameters of the public functions, and of the public methods and
+    ``__init__`` of the public classes, in ``source`` that no call in ``callers``
+    passes, by keyword or by position.
+
+    A call is matched by the callee's name: a Name (through its caller's import
+    aliases), an Attribute's attr, or the class name for ``__init__``.  A call
+    with ``*args`` or ``**kwargs`` passes every parameter it could reach.
+    """
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def defaulted(fn, method):
+        a = fn.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        positional = [arg.arg for arg in a.posonlyargs + a.args][int(method and not static):]
+        out = [(name, i) for i, name in enumerate(positional)
+               if i >= len(positional) - len(a.defaults)]
+        return out + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                      if d is not None]
+
+    params = []  # (label, callee name, parameter, position or None)
+    for node in ast.parse(source).body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            params += [(f"{node.name}.{p}", node.name, p, i) for p, i in defaulted(node, False)]
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for m in node.body:
+                if isinstance(m, defs) and (m.name == "__init__" or not m.name.startswith("_")):
+                    callee = node.name if m.name == "__init__" else m.name
+                    params += [(f"{node.name}.{m.name}.{p}", callee, p, i)
+                               for p, i in defaulted(m, True)]
+
+    calls = {}
+    for text in callers:
+        tree = ast.parse(text)
+        aliases = {a.asname: a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   for a in n.names if a.asname}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                f = n.func
+                name = (aliases.get(f.id, f.id) if isinstance(f, ast.Name)
+                        else getattr(f, "attr", None))
+                calls.setdefault(name, []).append(n)
+
+    def passes(call, param, pos):
+        if any(k.arg in (None, param) for k in call.keywords):
+            return True
+        return pos is not None and (len(call.args) > pos
+                                    or any(isinstance(a, ast.Starred) for a in call.args))
+
+    return sorted(label for label, callee, param, pos in params
+                  if not any(passes(c, param, pos) for c in calls.get(callee, ())))
+
+
+def test_detector_sees_defaults_never_set():
+    src = ("def f(a, b=1, *, c=2, d=3): pass\ndef g(x=0): pass\ndef h(y=0): pass\n"
+           "def _private(z=0): pass\n"
+           "class K:\n    def __init__(self, p=1, q=2): pass\n"
+           "    def m(self, r=1, s=2): pass\n"
+           "    @staticmethod\n    def st(t=1): pass\n"
+           "    def _helper(self, v=1): pass\n"
+           "class _P:\n    def m2(self, u=1): pass\n")
+    caller = ("from mod import f as ff, K\nff(1, 2)\nff(1, c=3)\nK(5)\nk.m(s=1)\nK.st(1)\n"
+              "g(*args)\nh(**opts)\nf(0)\n")
+    assert defaults_never_set(src, caller) == ["K.__init__.q", "K.m.r", "f.d"]
+
+
+PROGRAM_SOURCES = [p.read_text() for root in (SRC, SRC.parents[1] / "tests",
+                                               SRC.parents[1] / "perfbench")
+                   for p in sorted(root.glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_default_that_no_call_sets(path):
+    # a default no caller overrides is a constant dressed up as an option
+    assert defaults_never_set(path.read_text(), *PROGRAM_SOURCES) == []
