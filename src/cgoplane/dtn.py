@@ -453,10 +453,10 @@ class DtnMatrix:
         return float(np.linalg.norm(a - a.T) / max(np.linalg.norm(a), 1e-300))
 
 
-def dtn_matrix(op: PolarOperator, potential_tag: str = "") -> DtnMatrix:
-    """The DtN matrix S_{n_r} / omega on op's mesh: the energy pairing of the solved
+def dtn_matrix(V, mesh: BoundaryMesh, n_r: int = 128, potential_tag: str = "") -> DtnMatrix:
+    """The DtN matrix S_{n_r} / omega of V on mesh: the energy pairing of the solved
     interior fields of two boundary traces, so it is complex-symmetric by construction."""
-    mesh = op.mesh
+    op = assemble_polar_operator(V, mesh, n_r)
     return DtnMatrix(op.schur / mesh.arc_weights[0], mesh, potential_tag,
                      grid_params={"n_r": op.n_r, "n_nodes": mesh.n_nodes})
 
@@ -514,7 +514,7 @@ def load_dtn(path) -> DtnMatrix:
 
 def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
                       n_r: int = 128, potential_tag: str = "") -> DtnMatrix:
-    """Content-addressed cache wrapper around dtn_matrix; a miss assembles V's operator.
+    """Content-addressed cache wrapper around dtn_matrix.
 
     A blob under the requested key that holds another mesh, n_r or potential
     tag (a copied or renamed file) raises MeshMismatch.
@@ -528,6 +528,6 @@ def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
             raise MeshMismatch(f"{path} holds a DtN matrix for another mesh, n_r "
                                "or potential")
         return dtn
-    dtn = dtn_matrix(assemble_polar_operator(V, mesh, n_r), potential_tag)
+    dtn = dtn_matrix(V, mesh, n_r=n_r, potential_tag=potential_tag)
     save_dtn(path, dtn)
     return dtn

@@ -484,7 +484,7 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     desc1 = _lens_potential_description(0.0, **lens)
     V1_pw = potential_from_description(desc1)
     V1 = rasterize(V1_pw, g)
-    A1 = dtn_matrix(assemble_polar_operator(V1_pw, mesh, n_r), "lens-base")
+    A1 = dtn_matrix(V1_pw, mesh, n_r=n_r, potential_tag="lens-base")
 
     probes = np.asarray(params["probes"], float)
     # per-delta measurements; moduli are |ln gap|^{1 - s/2}, schedule residuals
@@ -501,7 +501,7 @@ def run_stability(cfg: ExperimentConfig) -> dict:
         cdist = curve_distance_c2(V1_pw.pieces[0][1].boundary, V2_pw.pieces[0][1].boundary)
         if not np.isfinite(cdist):
             raise ConfigError("perturbed boundary lost the common cover")
-        A2 = dtn_matrix(assemble_polar_operator(V2_pw, mesh, n_r), f"lens-delta-{delta}")
+        A2 = dtn_matrix(V2_pw, mesh, n_r=n_r, potential_tag=f"lens-delta-{delta}")
         gap = dtn_opnorm_diff(A1, A2)
         lam = schedule_lambda(gap, diameter)
         clamped = lam > lam_max

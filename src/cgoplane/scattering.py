@@ -157,7 +157,9 @@ def solve_lippmann_schwinger(V: ComplexField, k: float, theta) -> ScatterSolutio
 def far_field(V: ComplexField, eta, solution: ScatterSolution) -> complex:
     """Scattering amplitude A_V(eta, theta) by grid quadrature, from the total field
     ``solution`` that solve_lippmann_schwinger gave for V at its k and theta."""
-    g = V.grid
+    g = solution.grid
+    if not g.same_as(V.grid):
+        raise DomainError(f"V lives on {V.grid!r}, the solution on {g!r}")
     eta = np.asarray(eta, float)
     eta = eta / np.hypot(eta[0], eta[1])
     phase = plane_waves(g, solution.k, -eta)

@@ -160,8 +160,8 @@ def test_criterion_5_dtn_fidelity():
     op0 = assemble_polar_operator(None, mesh, n_r=192)
     vfun = lambda Z1, Z2: np.exp(-(Z1**2 + Z2**2) / (2 * 0.25**2))  # noqa: E731
     opV = assemble_polar_operator(vfun, mesh, n_r=192)
-    A0 = dtn_matrix(op0, potential_tag="zero")
-    AV = dtn_matrix(opV, potential_tag="bump")
+    A0 = dtn_matrix(None, mesh, n_r=192, potential_tag="zero")
+    AV = dtn_matrix(vfun, mesh, n_r=192, potential_tag="bump")
 
     checks = []
     eigs = np.fft.fft(A0.entries[:, 0]).real

@@ -72,7 +72,7 @@ class TestStencil:
 
 
 class TestSolveDirichlet:
-    def test_constant_data_exact(self, mesh, op0):
+    def test_constant_data_exact(self, op0):
         sol = solve_dirichlet(op0, np.ones(128, dtype=complex))
         assert np.max(np.abs(sol.full - 1.0)) < 1e-10
 
@@ -93,7 +93,7 @@ class TestSolveDirichlet:
         exact = np.sqrt(n * np.pi + np.pi / (2 * n + 2))
         assert abs(sol.h1_norm() - exact) / exact < 2e-3
 
-    def test_linearity(self, mesh, opV, rng):
+    def test_linearity(self, opV, rng):
         f1 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         f2 = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         a, b = 1.7 - 0.3j, -0.4 + 0.9j
@@ -104,7 +104,7 @@ class TestSolveDirichlet:
         rhs = a * s1.full + b * s2.full
         assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs)) < 1e-10
 
-    def test_discrete_equation_satisfied(self, mesh, opV, rng):
+    def test_discrete_equation_satisfied(self, opV, rng):
         # energy gradient (the 5-point polar scheme) vanishes at interior dofs
         f = rng.standard_normal(128) + 0j
         sol = solve_dirichlet(opV, f)
@@ -114,12 +114,12 @@ class TestSolveDirichlet:
 
 
 class TestDtnMatrix:
-    def test_complex_symmetry(self, mesh, opV):
-        A = dtn_matrix(opV, potential_tag="bump")
+    def test_complex_symmetry(self, mesh):
+        A = dtn_matrix(bump_potential(), mesh, n_r=160, potential_tag="bump")
         assert A.symmetry_defect() <= 1e-6
 
-    def test_disk_fourier_eigenvalues(self, mesh, op0):
-        A0 = dtn_matrix(op0, potential_tag="zero")
+    def test_disk_fourier_eigenvalues(self, mesh):
+        A0 = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         eigs = np.fft.fft(A0.entries[:, 0]).real
         freqs = np.fft.fftfreq(128, d=1.0 / 128).astype(int)
         for n in range(1, 9):
@@ -129,7 +129,7 @@ class TestDtnMatrix:
 
     def test_extension_independence(self, mesh, opV, rng):
         # pairing with the solved extension vs a different interior extension
-        A = dtn_matrix(opV, potential_tag="bump")
+        A = dtn_matrix(bump_potential(), mesh, n_r=160, potential_tag="bump")
         f = np.exp(1j * 3 * mesh.theta)
         g = np.exp(-1j * 3 * mesh.theta) + 0.5 * np.cos(mesh.theta)
         pair_matrix = A.pair(f, g)
@@ -143,8 +143,8 @@ class TestDtnMatrix:
 
     def test_alessandrini_identity(self, mesh, opV, op0):
         # <(Lam_V - Lam_0) f1, f2> = int (V - 0) u1 u2 with a nonzero pairing
-        AV = dtn_matrix(opV, potential_tag="bump")
-        A0 = dtn_matrix(op0, potential_tag="zero")
+        AV = dtn_matrix(bump_potential(), mesh, n_r=160, potential_tag="bump")
+        A0 = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         f1 = np.exp(1j * 2 * mesh.theta)
         f2 = np.exp(-1j * 2 * mesh.theta)
         lhs = complex(np.sum(mesh.arc_weights * ((AV.entries - A0.entries) @ f1) * f2))
@@ -158,12 +158,10 @@ class TestDtnMatrix:
 
     def test_continuity_in_potential(self, mesh):
         # || Dtn(V + delta) - Dtn(V) || shrinks linearly in ||delta||_inf
-        base = dtn_matrix(assemble_polar_operator(bump_potential(1.0), mesh, n_r=96),
-                          potential_tag="b")
+        base = dtn_matrix(bump_potential(1.0), mesh, n_r=96, potential_tag="b")
         gaps = []
         for d in (1e-1, 1e-2, 1e-3):
-            pert = dtn_matrix(assemble_polar_operator(bump_potential(1.0 + d), mesh, n_r=96),
-                              potential_tag="p")
+            pert = dtn_matrix(bump_potential(1.0 + d), mesh, n_r=96, potential_tag="p")
             gaps.append(np.linalg.norm(pert.entries - base.entries))
         assert gaps[0] > gaps[1] > gaps[2]
         ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
@@ -172,21 +170,21 @@ class TestDtnMatrix:
 
 
 class TestOpnormDiff:
-    def test_zero_for_equal(self, mesh, op0):
-        A = dtn_matrix(op0, potential_tag="zero")
-        B = dtn_matrix(op0, potential_tag="zero")
+    def test_zero_for_equal(self, mesh):
+        A = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
+        B = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         assert dtn_opnorm_diff(A, B) == 0.0
 
-    def test_identity_perturbation_weights(self, mesh, op0):
-        A = dtn_matrix(op0, potential_tag="zero")
+    def test_identity_perturbation_weights(self, mesh):
+        A = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         eps = 1e-3
         from cgoplane.dtn import DtnMatrix
         B = DtnMatrix(A.entries + eps * np.eye(128), mesh, "pert")
         # eps * max_n (1+n^2)^{-1/2} = eps at the constant mode
         assert abs(dtn_opnorm_diff(A, B) - eps) < 1e-12
 
-    def test_high_modes_weigh_less(self, mesh, op0):
-        A = dtn_matrix(op0, potential_tag="zero")
+    def test_high_modes_weigh_less(self, mesh):
+        A = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         from cgoplane.dtn import DtnMatrix
         ns = mesh.fourier_n
         dft = np.fft.fft(np.eye(128), axis=0) / np.sqrt(128)
@@ -199,17 +197,17 @@ class TestOpnormDiff:
         g_hi = dtn_opnorm_diff(A, DtnMatrix(A.entries + to_nodal(hi), mesh, "hi"))
         assert g_hi < g_lo
 
-    def test_mesh_mismatch(self, mesh, op0):
-        A = dtn_matrix(op0, potential_tag="zero")
+    def test_mesh_mismatch(self, mesh):
+        A = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         other = BoundaryMesh(radius=0.9, n_nodes=128)
-        B = dtn_matrix(assemble_polar_operator(None, other, n_r=96), potential_tag="zero")
+        B = dtn_matrix(None, other, n_r=96, potential_tag="zero")
         with pytest.raises(MeshMismatch):
             dtn_opnorm_diff(A, B)
 
 
 class TestCache:
-    def test_blob_roundtrip(self, tmp_path, mesh, op0):
-        A = dtn_matrix(op0, potential_tag="zero")
+    def test_blob_roundtrip(self, tmp_path, mesh):
+        A = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         path = tmp_path / "a.dtn"
         save_dtn(path, A)
         B = load_dtn(path)
@@ -217,9 +215,9 @@ class TestCache:
         assert B.mesh.same_as(mesh)
         assert B.potential_tag == "zero"
 
-    def test_damaged_blob_rejected(self, tmp_path, mesh, op0):
+    def test_damaged_blob_rejected(self, tmp_path, mesh):
         path = tmp_path / "a.dtn"
-        save_dtn(path, dtn_matrix(op0, potential_tag="zero"))
+        save_dtn(path, dtn_matrix(None, mesh, n_r=160, potential_tag="zero"))
         raw = path.read_bytes()
         path.write_bytes(raw[:-1])
         with pytest.raises(BlobFormatError):
@@ -231,7 +229,7 @@ class TestCache:
 
     def test_cached_matches_uncached(self, tmp_path, mesh):
         v = bump_potential(0.7)
-        direct = dtn_matrix(assemble_polar_operator(v, mesh, n_r=96), potential_tag="t")
+        direct = dtn_matrix(v, mesh, n_r=96, potential_tag="t")
         c1 = dtn_matrix_cached(tmp_path, "hash1", v, mesh, n_r=96, potential_tag="t")
         c2 = dtn_matrix_cached(tmp_path, "hash1", v, mesh, n_r=96, potential_tag="t")
         assert np.max(np.abs(c1.entries - direct.entries)) < 1e-12
@@ -371,9 +369,10 @@ class TestInverseNormEstimate:
             np.abs(a_ii).sum(axis=0).max(), rel=1e-13)
 
 
-def _dense_defects(op, rng):
-    """Relative defects of the DtN, solve_dirichlet and _interior_solve (center load
-    included) against dense solves of the energy, and the DtN's symmetry defect."""
+def _dense_defects(V, op, rng):
+    """Relative defects of V's DtN, solve_dirichlet and _interior_solve (center load
+    included) on V's operator op against dense solves of the energy, and the DtN's
+    symmetry defect."""
     mesh = op.mesh
     m = mesh.n_nodes
     energy = dense_energy(op)
@@ -384,7 +383,7 @@ def _dense_defects(op, rng):
     full[op.interior_idx] = np.linalg.solve(a_ii, -a_ib)
     full[op.boundary_idx] = np.eye(m)
     gram = full.T @ energy @ full / mesh.arc_weights[0]
-    dtn = dtn_matrix(op)
+    dtn = dtn_matrix(V, mesh, n_r=op.n_r)
     f = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     sol = solve_dirichlet(op, f).full[op.interior_idx]
     b = rng.standard_normal(a_ii.shape[0]) + 1j * rng.standard_normal(a_ii.shape[0])
@@ -398,11 +397,10 @@ class TestDenseOracle:
 
     @pytest.fixture(scope="class")
     def defects(self):
-        op = assemble_polar_operator(
-            lambda Z1, Z2: (2.0 - 1.5j) * np.exp(-((Z1 - 0.2)**2 + Z2**2) / 0.1),
-            BoundaryMesh(n_nodes=64), n_r=16)
+        V = lambda Z1, Z2: (2.0 - 1.5j) * np.exp(-((Z1 - 0.2)**2 + Z2**2) / 0.1)  # noqa: E731
+        op = assemble_polar_operator(V, BoundaryMesh(n_nodes=64), n_r=16)
         assert op.annulus is None
-        return _dense_defects(op, np.random.default_rng(20240811))
+        return _dense_defects(V, op, np.random.default_rng(20240811))
 
     def test_dtn_is_the_gram_of_solved_hat_columns(self, defects):
         assert defects["dtn"] <= 1e-12
@@ -432,10 +430,10 @@ class TestAnnulusOracle:
 
     @pytest.fixture(scope="class", params=sorted(POTENTIALS))
     def defects(self, request):
-        op = assemble_polar_operator(self.POTENTIALS[request.param], BoundaryMesh(n_nodes=64),
-                                     n_r=16)
+        V = self.POTENTIALS[request.param]
+        op = assemble_polar_operator(V, BoundaryMesh(n_nodes=64), n_r=16)
         assert op.annulus is not None
-        return _dense_defects(op, np.random.default_rng(7))
+        return _dense_defects(V, op, np.random.default_rng(7))
 
     @pytest.mark.parametrize("what", ["dtn", "dirichlet", "interior", "symmetry"])
     def test_matches_dense(self, defects, what):
@@ -461,10 +459,10 @@ class TestAnnulusOracle:
 @given(ring=st.integers(0, 15), frac=st.floats(0.05, 0.95))
 def test_annulus_matches_dense_for_any_support_radius(ring, frac):
     # the support ends between ring `ring` and the next, so k = max(ring, 1)
-    op = assemble_polar_operator(_disk_supported((ring + frac) / 16), BoundaryMesh(n_nodes=64),
-                                 n_r=16)
+    V = _disk_supported((ring + frac) / 16)
+    op = assemble_polar_operator(V, BoundaryMesh(n_nodes=64), n_r=16)
     assert op.v_ring == max(ring, 1)
-    defects = _dense_defects(op, np.random.default_rng(ring))
+    defects = _dense_defects(V, op, np.random.default_rng(ring))
     assert max(defects.values()) <= 1e-12, defects
 
 
@@ -495,9 +493,9 @@ class TestCoreOracle:
 
     @pytest.fixture(scope="class", params=sorted(POTENTIALS))
     def case(self, request):
-        op = assemble_polar_operator(self.POTENTIALS[request.param], BoundaryMesh(n_nodes=64),
-                                     n_r=16)
-        return request.param, op, _dense_defects(op, np.random.default_rng(11))
+        V = self.POTENTIALS[request.param]
+        op = assemble_polar_operator(V, BoundaryMesh(n_nodes=64), n_r=16)
+        return request.param, op, _dense_defects(V, op, np.random.default_rng(11))
 
     def test_layout(self, case):
         name, op, _ = case
@@ -514,12 +512,12 @@ class TestCoreOracle:
 def test_core_matches_dense_for_any_disk_radius(ring, frac):
     # a centered constant disk ending between ring `ring` and the next: every ring
     # below k = max(ring, 1) goes per mode, and with ring 15 the whole interior does
-    op = assemble_polar_operator(_centered_disk((ring + frac) / 16), BoundaryMesh(n_nodes=64),
-                                 n_r=16)
+    V = _centered_disk((ring + frac) / 16)
+    op = assemble_polar_operator(V, BoundaryMesh(n_nodes=64), n_r=16)
     assert op.v_ring == max(ring, 1)
     assert len(op.core) == (15 if ring == 15 else op.v_ring - 1)
     assert len(op.ring_solves) == 0
-    defects = _dense_defects(op, np.random.default_rng(ring))
+    defects = _dense_defects(V, op, np.random.default_rng(ring))
     assert max(defects.values()) <= 1e-12, defects
 
 
@@ -530,9 +528,8 @@ def test_complex_symmetry_for_random_potentials(modulus, arg, c1, c2, sigma):
     # |V| <= 5 stays below the first Dirichlet eigenvalue of the disk (about 5.78),
     # so 0 is never one and the guard cannot refuse
     amp = modulus * np.exp(1j * arg)
-    A = dtn_matrix(assemble_polar_operator(
-        lambda Z1, Z2: amp * np.exp(-((Z1 - c1)**2 + (Z2 - c2)**2) / (2 * sigma**2)),
-        BoundaryMesh(n_nodes=64), n_r=16))
+    A = dtn_matrix(lambda Z1, Z2: amp * np.exp(-((Z1 - c1)**2 + (Z2 - c2)**2) / (2 * sigma**2)),
+                   BoundaryMesh(n_nodes=64), n_r=16)
     assert A.symmetry_defect() <= 1e-12
 
 
@@ -540,9 +537,8 @@ def test_potential_from_field_sampling(mesh):
     # ComplexField input is interpolated onto the polar nodes
     g = FourierGrid(128, 4.0)
     V = ComplexField.from_function(g, bump_potential())
-    a_field = dtn_matrix(assemble_polar_operator(V, mesh, n_r=96), potential_tag="field")
-    a_callable = dtn_matrix(assemble_polar_operator(bump_potential(), mesh, n_r=96),
-                            potential_tag="callable")
+    a_field = dtn_matrix(V, mesh, n_r=96, potential_tag="field")
+    a_callable = dtn_matrix(bump_potential(), mesh, n_r=96, potential_tag="callable")
     rel = (np.linalg.norm(a_field.entries - a_callable.entries)
            / np.linalg.norm(a_callable.entries))
     assert rel < 1e-3

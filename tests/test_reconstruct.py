@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgoplane.cgo import PhaseParams, solve_w
-from cgoplane.dtn import BoundaryMesh, DtnMatrix, assemble_polar_operator, dtn_matrix
+from cgoplane.dtn import BoundaryMesh, DtnMatrix, dtn_matrix
 from cgoplane.errors import AmplificationExceeded, MeshMismatch, NonConvergence
 from cgoplane.geometry import make_disk, make_rhombus
 from cgoplane.grid import ComplexField, FourierGrid
@@ -27,10 +27,8 @@ def disk_setup(mesh):
                            * ((Z1**2 + Z2**2) <= 1.0))
     g = FourierGrid(256, 4.0)
     V = ComplexField.from_function(g, vfun)
-    opV = assemble_polar_operator(vfun, mesh, n_r=160)
-    op0 = assemble_polar_operator(None, mesh, n_r=160)
-    A_V = dtn_matrix(opV, potential_tag="bump")
-    A_0 = dtn_matrix(op0, potential_tag="zero")
+    A_V = dtn_matrix(vfun, mesh, n_r=160, potential_tag="bump")
+    A_0 = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
     return {"V": V, "vfun": vfun, "A_V": A_V, "A_0": A_0, "grid": g}
 
 
@@ -65,9 +63,8 @@ class TestRoutes:
     def test_zero_potential_both_routes_zero(self, mesh):
         g = FourierGrid(128, 4.0)
         V = ComplexField.zeros(g)
-        op0 = assemble_polar_operator(None, mesh, n_r=96)
-        A0a = dtn_matrix(op0, potential_tag="zero")
-        A0b = dtn_matrix(op0, potential_tag="zero")
+        A0a = dtn_matrix(None, mesh, n_r=96, potential_tag="zero")
+        A0b = dtn_matrix(None, mesh, n_r=96, potential_tag="zero")
         for lam in (6.0, 12.0):
             p = PhaseParams(lam, (0.15, -0.3))
             assert reconstruct_interior(V, p) == 0.0
@@ -104,7 +101,7 @@ class TestRoutes:
 
     def test_mesh_mismatch_raised(self, disk_setup):
         other = BoundaryMesh(radius=0.9, n_nodes=128)
-        B = dtn_matrix(assemble_polar_operator(None, other, n_r=96), potential_tag="zero")
+        B = dtn_matrix(None, other, n_r=96, potential_tag="zero")
         p = PhaseParams(8.0, (0.0, 0.0))
         with pytest.raises(MeshMismatch):
             reconstruct_boundary(disk_setup["A_V"], B, disk_setup["V"], p)
@@ -121,7 +118,7 @@ class TestRoutes:
 
     def test_mesh_mismatch_checked_before_amplification(self, disk_setup):
         other = BoundaryMesh(radius=0.9, n_nodes=128)
-        B = dtn_matrix(assemble_polar_operator(None, other, n_r=96), potential_tag="zero")
+        B = dtn_matrix(None, other, n_r=96, potential_tag="zero")
         p = PhaseParams(512.0, (0.0, 0.0))
         with pytest.raises(MeshMismatch):
             reconstruct_boundary(disk_setup["A_V"], B, disk_setup["V"], p)

@@ -153,6 +153,13 @@ class TestFarField:
         a2 = far_field(V, -theta, solve_lippmann_schwinger(V, k, -eta))
         assert abs(a1 - a2) / abs(a1) < 1e-4
 
+    def test_v_on_another_grid_refused(self, scatter_grid):
+        # same n, another side: the quadrature weight h would silently change
+        sol = solve_lippmann_schwinger(bump_field(scatter_grid, 0.2), 3.0, (0.0, 1.0))
+        other = FourierGrid(scatter_grid.n_per_side, 2 * scatter_grid.side_len)
+        with pytest.raises(DomainError):
+            far_field(bump_field(other, 0.2), (1.0, 0.0), sol)
+
 
 def _dense_nystrom(V, k):
     """Dense I + G h^2 V from green0 and the corrected diagonal (oracle, n <= 32)."""
