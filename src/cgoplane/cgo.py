@@ -99,11 +99,11 @@ def psi_at(z1, z2, x) -> np.ndarray:
 
 
 def _dz_symbol(grid):
-    return 0.5j * (grid.XI1 - 1j * grid.XI2)
+    return 0.5j * (grid.xi[None, :] - 1j * grid.xi[:, None])
 
 
 def _dzbar_symbol(grid):
-    return 0.5j * (grid.XI1 + 1j * grid.XI2)
+    return 0.5j * (grid.xi[None, :] + 1j * grid.xi[:, None])
 
 
 @lru_cache(maxsize=4)

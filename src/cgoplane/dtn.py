@@ -63,8 +63,8 @@ class BoundaryMesh:
         m = int(n_nodes)
         if m < 64:
             raise DomainError("boundary mesh needs at least 64 nodes")
-        if radius <= 0:
-            raise DomainError("radius must be positive")
+        if not 0 < radius < np.inf:  # NaN fails this too
+            raise DomainError(f"radius must be positive and finite, got {radius}")
         self.center = (float(center[0]), float(center[1]))
         self.radius = float(radius)
         self.n_nodes = m
@@ -433,7 +433,7 @@ class DtnMatrix:
     """Discrete DtN operator on nodal boundary values."""
 
     def __init__(self, entries: np.ndarray, mesh: BoundaryMesh, potential_tag: str,
-                 grid_params: dict | None = None):
+                 n_r: int | None = None):
         m = mesh.n_nodes
         entries = np.asarray(entries, dtype=np.complex128)
         if entries.shape != (m, m):
@@ -441,7 +441,7 @@ class DtnMatrix:
         self.entries = entries
         self.mesh = mesh
         self.potential_tag = potential_tag
-        self.grid_params = dict(grid_params or {})
+        self.n_r = n_r  # rings of the polar solve it came from; None when not solved
 
     def pair(self, f, g) -> complex:
         """Boundary pairing int (Dtn f) g with the mesh arc weights (no conjugation)."""
@@ -457,8 +457,7 @@ def dtn_matrix(V, mesh: BoundaryMesh, n_r: int = 128, potential_tag: str = "") -
     """The DtN matrix S_{n_r} / omega of V on mesh: the energy pairing of the solved
     interior fields of two boundary traces, so it is complex-symmetric by construction."""
     op = assemble_polar_operator(V, mesh, n_r)
-    return DtnMatrix(op.schur / mesh.arc_weights[0], mesh, potential_tag,
-                     grid_params={"n_r": op.n_r, "n_nodes": mesh.n_nodes})
+    return DtnMatrix(op.schur / mesh.arc_weights[0], mesh, potential_tag, n_r=op.n_r)
 
 
 def dtn_opnorm_diff(A: DtnMatrix, B: DtnMatrix) -> float:
@@ -494,22 +493,27 @@ def save_dtn(path, dtn: DtnMatrix):
         "mesh": {"center": list(dtn.mesh.center), "radius": dtn.mesh.radius,
                  "n_nodes": dtn.mesh.n_nodes},
         "potential_tag": dtn.potential_tag,
-        "grid_params": dtn.grid_params,
+        "grid_params": {"n_nodes": dtn.mesh.n_nodes, "n_r": dtn.n_r},
         "version": _VERSION,
     }
     write_blob(path, _MAGIC, header, dtn.entries)
 
 
 def load_dtn(path) -> DtnMatrix:
-    """The DtnMatrix save_dtn wrote; BlobFormatError for a blob of another _VERSION."""
+    """The DtnMatrix save_dtn wrote; BlobFormatError for a blob of another _VERSION
+    or a header that does not describe its entries."""
     header, entries = read_blob(path, _MAGIC)
     if header.get("version") != _VERSION:
         raise BlobFormatError(f"{path}: DtN blob of version {header.get('version')!r}, "
                               f"this code reads version {_VERSION}")
-    mesh = BoundaryMesh(center=tuple(header["mesh"]["center"]),
-                        radius=header["mesh"]["radius"],
-                        n_nodes=header["mesh"]["n_nodes"])
-    return DtnMatrix(entries, mesh, header["potential_tag"], header["grid_params"])
+    try:
+        mesh = BoundaryMesh(center=tuple(header["mesh"]["center"]),
+                            radius=header["mesh"]["radius"],
+                            n_nodes=header["mesh"]["n_nodes"])
+        return DtnMatrix(entries, mesh, header["potential_tag"],
+                         n_r=header["grid_params"]["n_r"])
+    except (LookupError, TypeError, ValueError) as exc:
+        raise BlobFormatError(f"{path}: unreadable DtN header: {exc!r}") from exc
 
 
 def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
@@ -523,7 +527,7 @@ def dtn_matrix_cached(cache_dir, potential_hash: str, V, mesh: BoundaryMesh,
     path = os.path.join(cache_dir, cache_key(potential_hash, mesh, n_r) + ".dtn")
     if os.path.exists(path):
         dtn = load_dtn(path)
-        if (not dtn.mesh.same_as(mesh) or dtn.grid_params.get("n_r") != n_r
+        if (not dtn.mesh.same_as(mesh) or dtn.n_r != n_r
                 or dtn.potential_tag != potential_tag):
             raise MeshMismatch(f"{path} holds a DtN matrix for another mesh, n_r "
                                "or potential")

@@ -28,9 +28,8 @@ from .errors import BlobFormatError, ConfigError
 from .geometry import curve_distance_c2
 from .grid import SUPPORT_TOL, ComplexField, FourierGrid, fft2, ifft2
 from .potentials import load_potential, potential_from_description, rasterize
-from .reconstruct import (AMPLIFICATION_BUDGET, amplification_exponent,
-                          build_error_weight_map, bukhgeim_trace, lambda_sweep,
-                          reconstruct_interior)
+from .reconstruct import (AMPLIFICATION_BUDGET, build_error_weight_map, bukhgeim_trace,
+                          lambda_sweep, reconstruct_interior)
 from .scattering import (FarFieldData, compute_far_field_data, far_field, k_norm,
                          solve_lippmann_schwinger)
 from .stationary import FunctionBundle, osc_integral_1d
@@ -56,12 +55,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
+        # JSON's NaN and Infinity: a NaN compares False with everything, so no
+        # later range check would catch it
+        bad = sorted(key for key, value in self.params.items() if _has_non_finite(value))
+        if bad:
+            raise ConfigError(f"params {', '.join(bad)} must hold only finite numbers")
         sched = self.params.get("lambdas")
         if sched is not None and (not isinstance(sched, (list, tuple))
                                   or not all(_is_number(v, numbers.Real) for v in sched)):
             raise ConfigError(f"lambdas must be a list of numbers, got {sched!r}")
-        if sched is not None and not np.all(np.isfinite(sched)):
-            raise ConfigError(f"lambdas must be finite, got {sched!r}")
         if sched is not None and any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("lambda schedule must be strictly increasing")
         ref = self.params.get("potential_file")
@@ -72,6 +74,15 @@ class ExperimentConfig:
 def _is_number(value, kind) -> bool:
     """A config value of the numbers ABC kind; JSON's true and false are not numbers."""
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _has_non_finite(value) -> bool:
+    """A NaN or infinite number anywhere in value, through nested lists and objects."""
+    if isinstance(value, dict):
+        return any(_has_non_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_has_non_finite(v) for v in value)
+    return _is_number(value, numbers.Real) and not -np.inf < value < np.inf
 
 
 def _same_kind(value, default) -> bool:
@@ -188,16 +199,14 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
         x = (-t, -t)
         side_err = reference.side_phase_max_error(t)
         lint_quad, lint_closed = reference.diagonal_line_integral(t)
-        sweep = lambda_sweep(V, x, lams, truth=0.0)
+        sweep = lambda_sweep(V, x, lams)
         oracle = reference.oracle_limit(t)
         cands = reference.candidate_constants(t)
         est = sweep.limit
         rel_oracle = abs(est - oracle) / abs(oracle)
         for smp in sweep.samples:
-            rows.append((t, smp.x[0], smp.x[1], smp.lam,
-                         *_complex_cols(smp.value_boundary),
-                         *_complex_cols(smp.value_interior),
-                         *_complex_cols(smp.truth), False))
+            rows.append((t, *x, smp.lam, *_complex_cols(smp.value_boundary),
+                         *_complex_cols(smp.value_interior), 0.0, 0.0, False))
         summary_t.append({
             "t": t,
             "side_phase_max_error": side_err,
@@ -325,9 +334,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     per_point = []
 
     def sweep_point(i):
-        x = probes[i]
-        truth = complex(np.asarray(V_pw(np.array([x[0]]), np.array([x[1]])))[0])
-        return lambda_sweep(V, x, lams, truth=truth, dtn_pair=dtn_pair)
+        return lambda_sweep(V, probes[i], lams, dtn_pair=dtn_pair)
 
     indices = [i for i in range(len(probes)) if not excluded[i]]
     if cfg.jobs > 1:
@@ -338,8 +345,8 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
 
     for i, sweep in zip(indices, sweeps):
         x = probes[i]
-        truth = sweep.samples[0].truth if sweep.samples else 0.0
-        errs_i = [abs(s.value_interior - s.truth) for s in sweep.samples]
+        truth = complex(np.asarray(V_pw(np.array([x[0]]), np.array([x[1]])))[0])
+        errs_i = [abs(s.value_interior - truth) for s in sweep.samples]
         lams_i = [s.lam for s in sweep.samples]
         slope_i = fit_loglog_slope(lams_i, errs_i)
         # worst over the requested lambdas: negative when a ghost of x comes
@@ -360,22 +367,19 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
             # boundary statistics over the admitted lambdas only (no slope
             # below two); refused lambdas are listed with their exponents
             admitted = [s for s in sweep.samples if s.value_boundary is not None]
-            errs_b = [abs(s.value_boundary - s.truth) for s in admitted]
+            errs_b = [abs(s.value_boundary - truth) for s in admitted]
             entry["boundary_lambdas"] = [s.lam for s in admitted]
             entry["boundary_slope"] = fit_loglog_slope(entry["boundary_lambdas"], errs_b)
             entry["boundary_errors"] = errs_b
             agree = [abs(s.value_boundary - s.value_interior) / max(abs(s.value_interior), 1e-300)
                      for s in admitted]
             entry["route_agreement"] = agree
-            entry["boundary_refused"] = [
-                {"lambda": lam,
-                 "exponent": amplification_exponent(dtn_pair[0].mesh,
-                                                    PhaseParams(lam, (x[0], x[1])))}
-                for lam in sweep.refused]
+            entry["boundary_refused"] = [{"lambda": lam, "exponent": e}
+                                         for lam, e in sweep.refused]
         per_point.append(entry)
         for s in sweep.samples:
-            rows.append((s.x[0], s.x[1], s.lam, *_complex_cols(s.value_boundary),
-                         *_complex_cols(s.value_interior), *_complex_cols(s.truth), False))
+            rows.append((*entry["x"], s.lam, *_complex_cols(s.value_boundary),
+                         *_complex_cols(s.value_interior), *_complex_cols(truth), False))
     for i in range(len(probes)):
         if excluded[i]:
             rows.append((probes[i][0], probes[i][1], "", "", "", "", "", "", "", True))
@@ -819,11 +823,11 @@ def load_far_field(path) -> FarFieldData:
     header, coeffs = read_blob(path, _FF_MAGIC)
     try:
         n_eta, n_theta = FarFieldData.angle_grid(coeffs.shape)
-    except ValueError as exc:
-        raise BlobFormatError(f"{path}: {exc}") from exc
+        k = float(header["k"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BlobFormatError(f"{path}: {exc!r}") from exc
     samples = np.fft.ifft2(coeffs) * (n_eta * n_theta)
-    return FarFieldData(k=header["k"], n_eta=n_eta, n_theta=n_theta,
-                        samples=samples, coeffs=coeffs)
+    return FarFieldData(k=k, n_eta=n_eta, n_theta=n_theta, samples=samples, coeffs=coeffs)
 
 
 RUNNERS = {

@@ -127,8 +127,8 @@ class FourierGrid:
         n = int(n_per_side)
         if not _is_pow2(n):
             raise ValueError(f"n_per_side must be a power of two >= 2, got {n_per_side}")
-        if side_len <= 0:
-            raise ValueError("side_len must be positive")
+        if not 0 < side_len < np.inf:  # NaN fails this too
+            raise DomainError(f"side_len must be positive and finite, got {side_len}")
         self.n_per_side = n
         self.side_len = float(side_len)
         self.center = (float(center[0]), float(center[1]))
@@ -136,20 +136,14 @@ class FourierGrid:
 
         self.z1 = self.center[0] - self.side_len / 2 + self.h * np.arange(n)
         self.z2 = self.center[1] - self.side_len / 2 + self.h * np.arange(n)
-        xi = 2 * np.pi * np.fft.fftfreq(n, d=self.h)
-        self.xi1 = xi.copy()
-        self.xi2 = xi.copy()
+        # the frequency axis, shared by both directions
+        self.xi = 2 * np.pi * np.fft.fftfreq(n, d=self.h)
 
         # node meshes, values indexed [i2, i1]
         self.Z1, self.Z2 = np.meshgrid(self.z1, self.z2)
-        self.XI1, self.XI2 = np.meshgrid(self.xi1, self.xi2)
-        self._xi_sq = self.XI1**2 + self.XI2**2
+        # |xi|^2 mesh, [i2, i1] layout like the spatial meshes
+        self.xi_sq = self.xi[None, :]**2 + self.xi[:, None]**2
         self._band = None
-
-    @property
-    def xi_sq(self):
-        """|xi|^2 mesh, [i2, i1] layout like the spatial meshes."""
-        return self._xi_sq
 
     def band_mask(self):
         """Boolean mask of the padding band (outside the central half-square)."""

@@ -53,11 +53,9 @@ AMPLIFICATION_BUDGET = float(np.log(ROUTE_TOLERANCE
 class ReconSample:
     """One reconstruction sample; boundary value is None for interior-only sweeps."""
 
-    x: tuple
     lam: float
     value_boundary: complex | None
     value_interior: complex | None
-    truth: complex
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ class SweepResult:
     limit: complex          # mean of the last three available interior samples
     dispersion: float       # max deviation of those samples from the mean
     failures: tuple         # lambdas where the correction field did not converge
-    refused: tuple = ()     # lambdas whose boundary value exceeded the amplification budget
+    refused: tuple = ()     # (lambda, exponent) pairs over the amplification budget
 
 
 def amplification_exponent(mesh: BoundaryMesh, p: PhaseParams) -> float:
@@ -118,8 +116,7 @@ def reconstruct_interior(V: ComplexField, p: PhaseParams,
     return t_w_lambda(V, w, p, shift=1.0)
 
 
-def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,
-                 dtn_pair: tuple | None = None) -> SweepResult:
+def lambda_sweep(V: ComplexField, x, lambdas, dtn_pair: tuple | None = None) -> SweepResult:
     """Interior-route sweep over increasing lambdas with an averaged limit.
 
     The limit estimate is the mean of the last three successful samples
@@ -127,8 +124,8 @@ def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,
     extrapolation here).  Non-convergent lambdas are recorded and skipped.
     When ``dtn_pair`` = (A_V, A_0) is given, boundary values are sampled too;
     lambdas the boundary route refuses with AmplificationExceeded are
-    recorded in ``refused`` and keep their interior sample with a boundary
-    value of None.
+    recorded in ``refused`` with the exponent it raised, and keep their
+    interior sample with a boundary value of None.
     """
     lambdas = list(lambdas)
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
@@ -137,7 +134,7 @@ def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,
     failures = []
     refused = []
     for lam in lambdas:
-        p = PhaseParams(lam=lam, x=(float(x[0]), float(x[1])))
+        p = PhaseParams(lam, x)
         try:
             w = solve_w(V, p)
         except NonConvergence:
@@ -148,11 +145,9 @@ def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,
         if dtn_pair is not None:
             try:
                 boundary = reconstruct_boundary(dtn_pair[0], dtn_pair[1], V, p, w=w)
-            except AmplificationExceeded:
-                refused.append(lam)
-        samples.append(ReconSample(x=(float(x[0]), float(x[1])), lam=lam,
-                                   value_boundary=boundary, value_interior=interior,
-                                   truth=complex(truth)))
+            except AmplificationExceeded as exc:
+                refused.append((lam, exc.exponent))
+        samples.append(ReconSample(lam=lam, value_boundary=boundary, value_interior=interior))
     good = [s.value_interior for s in samples]
     if not good:
         raise NonConvergence("no lambda in the sweep produced a correction field")
@@ -171,7 +166,6 @@ def lambda_sweep(V: ComplexField, x, lambdas, truth: complex = 0.0,
 class ErrorWeightMap:
     """Per-point conditioning surrogate C_x and the degenerate/near-curve mask."""
 
-    xs: np.ndarray            # (N, 2) probe points
     weights: np.ndarray       # (N,) C_x surrogate (inf where masked)
     degenerate_mask: np.ndarray   # True where stationary analysis is unreliable
     near_curve_mask: np.ndarray   # True inside the exclusion band around the curves
@@ -209,5 +203,4 @@ def build_error_weight_map(xs, boundaries, exclusion_band: float) -> ErrorWeight
         r2 = max(dist[i] / 2.0, 1e-12)
         weights[i] = (1.0 + total) / r2
     weights[degenerate] = np.inf
-    return ErrorWeightMap(xs=xs, weights=weights, degenerate_mask=degenerate,
-                          near_curve_mask=near)
+    return ErrorWeightMap(weights=weights, degenerate_mask=degenerate, near_curve_mask=near)

@@ -75,7 +75,6 @@ class ScatterSolution:
 
     grid: FourierGrid
     k: float
-    theta: np.ndarray
     u: np.ndarray            # flattened field values (grid order)
     residual: float
     iterations: int          # GMRES iterations
@@ -144,7 +143,7 @@ class _NystromSystem:
         theta = theta / np.hypot(theta[0], theta[1])
         inc = plane_waves(self.grid, self.k, theta)
         u, iterations = self.solve_to(inc, _GMRES_TOL)
-        return ScatterSolution(grid=self.grid, k=self.k, theta=theta, u=u,
+        return ScatterSolution(grid=self.grid, k=self.k, u=u,
                                residual=self.checked_residual(self._apply(u), inc, iterations),
                                iterations=iterations)
 

@@ -187,7 +187,9 @@ def tangent_set_area(seg: GraphSegment, slope: float, eps: float, omega: SubDoma
     if not np.any(sel):
         return 0.0
     tsel = t[sel]
-    fsel = np.asarray(seg.f(tsel), float)
+    # every line has the given slope, so the nearest is the one whose intercept
+    # f(t) - slope*t is nearest the point's v - slope*u: two neighbours in sorted order
+    icpt = np.sort(np.asarray(seg.f(tsel), float) - slope * tsel)
 
     x0, x1, y0, y1 = omega.bbox()
     rng = np.random.default_rng(seed)
@@ -208,8 +210,11 @@ def tangent_set_area(seg: GraphSegment, slope: float, eps: float, omega: SubDoma
         if not in_om.any():
             continue
         qt, qf = seg.frame(p1[in_om], p2[in_om])
-        resid = qf[:, None] - fsel[None, :] - slope * (qt[:, None] - tsel[None, :])
-        dist = np.min(np.abs(resid), axis=1) / denom
+        c = qf - slope * qt
+        j = np.searchsorted(icpt, c)
+        near = np.minimum(np.abs(c - icpt[np.maximum(j - 1, 0)]),
+                          np.abs(c - icpt[np.minimum(j, len(icpt) - 1)]))
+        dist = near / denom
         hits += int(np.count_nonzero(dist < band))
     return box_area * hits / total
 

@@ -52,10 +52,10 @@ def phi_values(grid, x):
 def dz(F):
     """Spectral d/dz: the symbol (i/2)(xi1 - i xi2)."""
     g = F.grid
-    return ComplexField(g, ifft2(fft2(F.values) * (0.5j * (g.XI1 - 1j * g.XI2))))
+    return ComplexField(g, ifft2(fft2(F.values) * (0.5j * (g.xi[None, :] - 1j * g.xi[:, None]))))
 
 
 def dzbar(F):
     """Spectral d/dzbar: the symbol (i/2)(xi1 + i xi2)."""
     g = F.grid
-    return ComplexField(g, ifft2(fft2(F.values) * (0.5j * (g.XI1 + 1j * g.XI2))))
+    return ComplexField(g, ifft2(fft2(F.values) * (0.5j * (g.xi[None, :] + 1j * g.xi[:, None]))))

@@ -400,7 +400,7 @@ class TestHsNorm:
     def test_single_mode(self, grid128):
         g = grid128
         j, k = 5, 9
-        xi = (g.xi1[j], g.xi2[k])
+        xi = (g.xi[j], g.xi[k])
         mode = ComplexField.from_function(
             g, lambda Z1, Z2: np.exp(1j * (xi[0] * Z1 + xi[1] * Z2)))
         mag = np.hypot(*xi)
@@ -419,8 +419,8 @@ def _s1_uncached(F, p):
     phase = (np.exp(-1j * p.lam * (g.z2 - p.x[1]) ** 2)[:, None]
              * np.exp(1j * p.lam * (g.z1 - p.x[0]) ** 2))
     with np.errstate(divide="ignore", invalid="ignore"):
-        m_z = 1.0 / (0.5j * (g.XI1 - 1j * g.XI2))
-        m_zbar = 1.0 / (0.5j * (g.XI1 + 1j * g.XI2))
+        m_z = 1.0 / (0.5j * (g.xi[None, :] - 1j * g.xi[:, None]))
+        m_zbar = 1.0 / (0.5j * (g.xi[None, :] + 1j * g.xi[:, None]))
     nyq = g.n_per_side // 2
     for m in (m_z, m_zbar):
         m[0, 0] = 0.0

@@ -45,6 +45,11 @@ class TestBoundaryMesh:
         with pytest.raises(ValueError):
             BoundaryMesh(n_nodes=32)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_refused(self, radius):
+        with pytest.raises(DomainError, match="finite"):
+            BoundaryMesh(radius=radius)
+
     def test_weights_sum_to_length(self, mesh):
         assert abs(mesh.arc_weights.sum() - 2 * np.pi) / (2 * np.pi) < 1e-3
 
@@ -252,6 +257,24 @@ class TestCache:
         header, entries = read_blob(path, b"DTNBLOB1")
         write_blob(path, b"DTNBLOB1", {**header, "version": header["version"] - 1}, entries)
         with pytest.raises(BlobFormatError, match="version"):
+            dtn_matrix_cached(tmp_path, "h", None, small, n_r=16, potential_tag="zero")
+
+    @pytest.mark.parametrize("damage", ["mesh-of-128-nodes", "no-mesh"])
+    def test_unreadable_header_refused(self, tmp_path, damage):
+        # a current-version blob under its own key whose header does not
+        # describe its 64 x 64 entries
+        small = BoundaryMesh(radius=1.0, n_nodes=64)
+        dtn_matrix_cached(tmp_path, "h", None, small, n_r=16, potential_tag="zero")
+        path = tmp_path / (cache_key("h", small, 16) + ".dtn")
+        header, entries = read_blob(path, b"DTNBLOB1")
+        if damage == "no-mesh":
+            del header["mesh"]
+        else:
+            header["mesh"]["n_nodes"] = 128
+        write_blob(path, b"DTNBLOB1", header, entries)
+        with pytest.raises(BlobFormatError, match="header"):
+            load_dtn(path)
+        with pytest.raises(BlobFormatError, match="header"):
             dtn_matrix_cached(tmp_path, "h", None, small, n_r=16, potential_tag="zero")
 
 

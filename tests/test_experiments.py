@@ -41,6 +41,29 @@ class TestConfig:
                       "--grid", "64"])
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("experiment,params", [
+        ("convergence", '{"variant": "pwc-disk", "side": NaN}'),
+        ("stability", '{"deltas": [0.1, Infinity]}'),
+        ("scatter", '{"k": NaN}'),
+        ("stability", '{"lens": {"half_width": 0.08, "height": -Infinity}}'),
+    ], ids=["convergence-side", "stability-deltas", "scatter-k", "stability-lens"])
+    def test_non_finite_param_refused_before_any_output(self, tmp_path, experiment, params):
+        # unchecked, these end in an untyped error, or in one raised only after
+        # the CSV files are written (stability) or after 300 GMRES steps (scatter)
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"params": %s}' % params)
+        with pytest.raises(ConfigError, match="finite"):
+            cli_main([experiment, "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                      "--grid", "64"])
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_number_in_potential_description_refused(self):
+        desc = json.loads(json.dumps(PWC_DISK_POTENTIAL))
+        desc["pieces"][0]["q"]["value"] = [1.0, float("nan")]
+        with pytest.raises(ConfigError, match="potential"):
+            ExperimentConfig(name="convergence", params={"variant": "pwc-disk",
+                                                         "potential": desc})
+
     def test_missing_description_file(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(name="x", params={"potential_file": "/nope/none.json"})
@@ -288,6 +311,12 @@ class TestScatterRunner:
         path = tmp_path / "f.ffd"
         write_blob(path, _FF_MAGIC, {"k": 4.0}, np.ones(shape, dtype=complex))
         with pytest.raises(BlobFormatError):
+            load_far_field(path)
+
+    def test_far_field_blob_without_k_refused(self, tmp_path):
+        path = tmp_path / "f.ffd"
+        write_blob(path, _FF_MAGIC, {}, np.ones((64, 64), dtype=complex))
+        with pytest.raises(BlobFormatError, match="'k'"):
             load_far_field(path)
 
     def test_one_epsilon_writes_null_halving_ratio(self, tmp_path, capsys):

@@ -14,6 +14,12 @@ def test_grid_requires_power_of_two():
         FourierGrid(256, -1.0)
 
 
+@pytest.mark.parametrize("side", [np.nan, np.inf])
+def test_grid_refuses_non_finite_side(side):
+    with pytest.raises(DomainError, match="finite"):
+        FourierGrid(64, side)
+
+
 def test_grid_nodes_and_spacing():
     g = FourierGrid(128, 4.0, center=(1.0, -0.5))
     assert g.h == 4.0 / 128

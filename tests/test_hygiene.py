@@ -367,3 +367,43 @@ PROGRAM_SOURCES = [p.read_text() for root in (SRC, SRC.parents[1] / "tests",
 def test_no_default_that_no_call_sets(path):
     # a default no caller overrides is a constant dressed up as an option
     assert defaults_never_set(path.read_text(), *PROGRAM_SOURCES) == []
+
+
+def unread_dataclass_fields(source: str, *readers: str) -> list[str]:
+    """Fields of the ``@dataclass`` classes in ``source`` whose name no attribute
+    load in ``readers`` mentions, as ``Class.field``.
+
+    A field is matched by name only, so a read of any attribute of that name
+    counts: a field that shares its name with another class's read attribute
+    (a ``theta`` field beside ``mesh.theta``) escapes the check.
+    """
+    def is_dataclass(node):
+        for d in node.decorator_list:
+            d = d.func if isinstance(d, ast.Call) else d
+            if (getattr(d, "id", None) or getattr(d, "attr", None)) == "dataclass":
+                return True
+        return False
+
+    fields = [f"{node.name}.{stmt.target.id}" for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.ClassDef) and is_dataclass(node)
+              for stmt in node.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = {n.attr for text in readers for n in ast.walk(ast.parse(text))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f for f in fields if f.split(".")[1] not in read)
+
+
+def test_detector_sees_unread_dataclass_fields():
+    src = ("from dataclasses import dataclass\nimport dataclasses\n"
+           "@dataclass\nclass A:\n    read: int\n    unread: int\n    written: int = 0\n"
+           "@dataclass(frozen=True)\nclass B:\n    x: float\n"
+           "@dataclasses.dataclass\nclass C:\n    y: float\n"
+           "class Plain:\n    z: int\n")
+    reader = "a.read\nb.x = 1\nc.written = 2\nprint(obj.y)\nz\n"
+    assert unread_dataclass_fields(src, reader) == ["A.unread", "A.written", "B.x"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_field_is_read(path):
+    # a field nothing reads is a copy kept for no one
+    assert unread_dataclass_fields(path.read_text(), *PROGRAM_SOURCES) == []

@@ -179,7 +179,7 @@ class TestLambdaSweep:
         q = lambda q1, q2: np.full(np.broadcast(np.asarray(q1), np.asarray(q2)).shape,  # noqa: E731
                                    c, dtype=complex)
         V = rasterize(PiecewisePotential(pieces=((q, disk),), s=2.5, r=0.3), g)
-        res = lambda_sweep(V, (0.1, 0.05), [64.0, 128.0, 192.0, 256.0], truth=c)
+        res = lambda_sweep(V, (0.1, 0.05), [64.0, 128.0, 192.0, 256.0])
         assert abs(res.limit - c) / abs(c) < 0.10
 
     def test_dispersion_shrinks_when_lambda_doubles(self):
@@ -199,7 +199,8 @@ class TestLambdaSweep:
         assert res.samples[0].value_boundary is not None
         assert res.samples[1].value_boundary is None
         assert all(s.value_interior is not None for s in res.samples)
-        assert res.refused == (64.0,)
+        assert res.refused == ((64.0, amplification_exponent(
+            disk_setup["A_V"].mesh, PhaseParams(64.0, (0.0, 0.0)))),)
         assert res.failures == ()
 
     def test_nonconvergent_lambdas_recorded(self):
