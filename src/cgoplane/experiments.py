@@ -26,7 +26,7 @@ from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
                   dtn_matrix_cached, dtn_opnorm_diff, solve_dirichlet)
 from .errors import BlobFormatError, ConfigError
 from .geometry import curve_distance_c2
-from .grid import SUPPORT_TOL, ComplexField, FourierGrid, fft2, ifft2
+from .grid import SUPPORT_TOL, ComplexField, FourierGrid, _is_pow2, fft2, ifft2
 from .potentials import load_potential, potential_from_description, rasterize
 from .reconstruct import (AMPLIFICATION_BUDGET, build_error_weight_map, bukhgeim_trace,
                           lambda_sweep, reconstruct_interior)
@@ -53,6 +53,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _is_number(value, numbers.Integral) or value < low:
                 raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+        # FourierGrid's own refusal would come only once a runner builds its grid
+        if not _is_pow2(self.grid_n):
+            raise ConfigError(f"grid_n must be a power of two >= 2, got {self.grid_n!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
         # JSON's NaN and Infinity: a NaN compares False with everything, so no

@@ -23,6 +23,7 @@ _SIMPLE_PTS_PER_SEG = 64     # polyline points per segment, self-intersection ch
 _DISTANCE_PTS_PER_SEG = 512  # polyline points per segment, distance_to
 _PREDICATE_N = 24            # lattice points per side, inside-predicate check
 _C2_PROBES = 512             # probes per segment, curve_distance_c2
+_EVEN_ODD_CHUNK = 1 << 15    # query points sorted at once, _even_odd_inside
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,18 @@ def _even_odd_inside(poly: np.ndarray, q1, q2):
     or never, so the point is outside.  The box is widened along x by the few
     ulps that rounding can move a computed crossing past an edge's endpoints,
     which keeps the result bit for bit that of testing every point.
+
+    A horizontal ray meets only the edges whose half-open y-interval
+    [min, max) holds its y (Hormann & Agathos 2001), so the points are
+    indexed by y, not tested against every edge.  In chunks of at most
+    _EVEN_ODD_CHUNK points, the box points are sorted by y once; searchsorted
+    then gives each non-horizontal edge the run of sorted points in its
+    interval.  One vectorized pass evaluates the crossing expression on those
+    (edge, point) pairs alone, with the operands in the order of the
+    every-edge loop, and bincount gives each point's parity.  The cost is a
+    sort of the points plus one evaluation per pair: about two pairs per
+    point for a convex curve, against one per edge (510 for a 256-point
+    lens polyline) when every point meets every edge.
     """
     x = np.asarray(q1, float)
     y = np.asarray(q2, float)
@@ -198,18 +211,28 @@ def _even_odd_inside(poly: np.ndarray, q1, q2):
     slack = 8 * np.finfo(float).eps * np.max(np.abs(px))
     box = ((y >= py.min()) & (y <= py.max())
            & (x >= px.min() - slack) & (x <= px.max() + slack))
-    xb, yb = x[box], y[box]
-    hit = np.zeros(xb.shape, dtype=bool)
     nx = np.roll(px, -1)
     ny = np.roll(py, -1)
-    for k in range(len(px)):
-        x0, y0, x1, y1 = px[k], py[k], nx[k], ny[k]
-        if y0 == y1:
-            continue
-        cond = ((y0 > yb) != (y1 > yb)) & (xb < (x1 - x0) * (yb - y0) / (y1 - y0) + x0)
-        hit ^= cond
+    edge = py != ny
+    x0, y0 = px[edge], py[edge]
+    dx, dy = nx[edge] - x0, ny[edge] - y0
+    lo_y, hi_y = np.minimum(y0, ny[edge]), np.maximum(y0, ny[edge])
+    idx = np.flatnonzero(box)
+    hit = np.zeros(idx.shape, dtype=bool)
+    for start in range(0, idx.size, _EVEN_ODD_CHUNK):
+        chunk = idx[start:start + _EVEN_ODD_CHUNK]
+        order = np.argsort(y[chunk], kind="stable")
+        xs, ys = x[chunk][order], y[chunk][order]
+        # the sorted points in [lo_y, hi_y) of each edge: (y0 > y) != (y1 > y)
+        first = np.searchsorted(ys, lo_y, side="left")
+        counts = np.searchsorted(ys, hi_y, side="left") - first
+        e = np.repeat(np.arange(counts.size), counts)
+        pt = np.arange(e.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        cross = xs[pt] < dx[e] * (ys[pt] - y0[e]) / dy[e] + x0[e]
+        odd = np.bincount(pt[cross], minlength=chunk.size) & 1
+        hit[start + order] = odd.astype(bool)
     inside = np.zeros(x.shape, dtype=bool)
-    inside[box] = hit
+    inside[idx] = hit
     return inside.reshape(shape)
 
 

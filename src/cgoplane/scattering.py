@@ -37,7 +37,7 @@ from scipy import fft as sfft, special
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CutoffExceedsNyquist, DomainError, NearSingular
-from .grid import ComplexField, FourierGrid, fft2, ifft2
+from .grid import ComplexField, FourierGrid, fft2, ifft2, support_box
 
 _GMRES_TOL = 1e-13      # relative residual ||A u - inc|| / ||inc|| every solve must reach
 _GMRES_RESTART = 30
@@ -89,6 +89,9 @@ class _NystromSystem:
         self.grid = g
         self.k = float(k)
         self.v = V.values
+        box = support_box(V.values)
+        # V's nonzero columns, the only ones the first transform of _apply reads
+        self._cols = None if box is None else box[2:]
         h = g.h
 
         # the kernel on the (2n-1)^2 offset lattice, offset (0, 0) at [n-1, n-1]
@@ -105,16 +108,21 @@ class _NystromSystem:
         self._kern_hat = fft2(circ)
 
     def _apply(self, u):
-        """(I + G h^2 V) u by pad -> fft2 -> multiply -> ifft2 -> crop."""
+        """(I + G h^2 V) u by pad -> fft2 -> multiply -> ifft2 -> crop.
+
+        The forward transform reads only V's columns and the inverse computes
+        only the first n rows, the ones the crop keeps; both are bit-identical
+        to the full transforms (grid.fft2, grid.ifft2).
+        """
         n = self.grid.n_per_side
         u = u.reshape(n, n)
         pad = np.zeros((2 * n, 2 * n), dtype=complex)
         pad[:n, :n] = self.v * u
         # all in pad's memory, spectrum * kernel in that order: complex products
         # are not bit-for-bit commutative
-        spec = fft2(pad, overwrite_x=True)
+        spec = fft2(pad, overwrite_x=True, cols=self._cols)
         spec *= self._kern_hat
-        conv = ifft2(spec, overwrite_x=True)[:n, :n]
+        conv = ifft2(spec, overwrite_x=True, rows=(0, n))[:, :n]
         return (u + conv).ravel()
 
     def solve_to(self, b, rtol):

@@ -11,7 +11,7 @@ from cgoplane import cgo
 from cgoplane.cgo import PhaseParams
 from cgoplane.errors import DomainError, NonConvergence, SupportViolation
 from cgoplane.experiments import PWC_DISK_POTENTIAL, ExperimentConfig, run_convergence
-from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2
+from cgoplane.grid import ComplexField, FourierGrid, fft2, ifft2, padded_zeros
 from cgoplane.potentials import potential_from_description, rasterize
 from cgoplane.utils import fit_loglog_slope
 
@@ -219,6 +219,30 @@ class TestPhaseMul:
         adj = 0.25 * cgo.phase_mul(cgo.dzbar_inv(cgo.phase_mul(
             cgo.dz_inv(F, check_support=False), p, +1), check_support=False), p, -1)
         assert np.array_equal(cgo.s1_adjoint(F, p).values, adj.values)
+
+    def test_cached_multipliers_are_read_only_blocks_with_zero_pads(self, grid128):
+        for symbol in (cgo._dz_symbol, cgo._dzbar_symbol):
+            mult = cgo._inverse_multiplier(grid128, symbol)
+            assert mult.shape == (128, 132) and not mult.flags.writeable
+            assert not mult[:, 128:].any()
+
+    @pytest.mark.parametrize("op", ["s1_apply", "solve_w"])
+    def test_work_blocks_keep_zero_pad_columns(self, grid128, monkeypatch, op):
+        # the products run on the blocks' flat memory; the pads must stay 0,
+        # or solve_w's step norm, taken over the block, would read them
+        blocks = []
+
+        def recorded(n):
+            view = padded_zeros(n)
+            blocks.append(view.base)
+            return view
+
+        monkeypatch.setattr(cgo, "padded_zeros", recorded)
+        V = (0.7 - 0.4j) * gaussian_bump(grid128, sigma=0.1, center=(0.05, 0.0))
+        getattr(cgo, op)(V, PhaseParams(64.0, (0.02, -0.03)))
+        assert len(blocks) >= 2
+        for block in blocks:
+            assert not block[:, 128:].any()
 
     @pytest.mark.parametrize("op", ["s1_apply", "s1_adjoint", "dz_inv", "dzbar_inv", "solve_w"])
     def test_operators_leave_their_input_unchanged(self, grid128, rng, op):

@@ -57,6 +57,17 @@ class TestConfig:
                       "--grid", "64"])
         assert not (tmp_path / "o").exists()
 
+    def test_grid_that_is_not_a_power_of_two_refused_before_any_output(self, tmp_path):
+        # FourierGrid refuses it too, but with an untyped error and only once a
+        # runner builds its grid
+        for n in (100, 1, 3):
+            with pytest.raises(ConfigError, match="power of two"):
+                run_counterexample(ExperimentConfig(name="counterexample",
+                                                    out_dir=str(tmp_path / "o"), grid_n=n))
+        with pytest.raises(ConfigError, match="power of two"):
+            cli_main(["counterexample", "--grid", "100", "--out", str(tmp_path / "o")])
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_number_in_potential_description_refused(self):
         desc = json.loads(json.dumps(PWC_DISK_POTENTIAL))
         desc["pieces"][0]["q"]["value"] = [1.0, float("nan")]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cgoplane import geometry
 from cgoplane.geometry import (GraphSegment, PiecewiseBoundary, SubDomain, _even_odd_inside,
                                curve_distance_c2, make_disk, make_rhombus)
 
@@ -157,28 +158,62 @@ _POLYLINES = {
     "rhombus": make_rhombus().boundary.polyline(256),
     "disk": make_disk(center=(0.2, -0.1), radius=0.6).boundary.polyline(256),
     "lens": _lens_boundary().polyline(256),
+    # horizontal edges at y = 0, 0.5 and 1, and vertices sharing a y-level
+    "steps": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5], [0.5, 0.5], [0.5, 1.0],
+                       [0.0, 1.0], [-0.5, 0.5], [-0.25, 0.5]]),
 }
 
 
-def _coordinate(lo, hi):
-    """Floats inside, outside and exactly on [lo, hi], and a few ulps beyond its ends."""
+def _coordinate(lo, hi, levels):
+    """Floats inside, outside and exactly on [lo, hi], a few ulps beyond its ends,
+    exactly on the given vertex levels, and NaN."""
     span = hi - lo
     near = [np.nextafter(v, d) for v in (lo, hi) for d in (-np.inf, np.inf)]
     beyond = [lo - j * np.spacing(lo) for j in range(1, 17)] + \
         [hi + j * np.spacing(hi) for j in range(1, 17)]
     return st.one_of(st.floats(lo - span, hi + span),
-                     st.sampled_from([lo, hi] + near + beyond))
+                     st.sampled_from([lo, hi] + near + beyond),
+                     st.sampled_from(sorted(set(levels.tolist()))),
+                     st.just(np.nan))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from(sorted(_POLYLINES)), data=st.data())
 def test_even_odd_box_filter_is_bit_identical(name, data):
     poly = _POLYLINES[name]
-    x = _coordinate(poly[:, 0].min(), poly[:, 0].max())
-    y = _coordinate(poly[:, 1].min(), poly[:, 1].max())
+    x = _coordinate(poly[:, 0].min(), poly[:, 0].max(), poly[:, 0])
+    y = _coordinate(poly[:, 1].min(), poly[:, 1].max(), poly[:, 1])
     pts = data.draw(st.lists(st.tuples(x, y), min_size=1, max_size=64))
     q1, q2 = np.array(pts).T
     assert np.array_equal(_even_odd_inside(poly, q1, q2), _even_odd_every_point(poly, q1, q2))
     # also on a mesh, the shape rasterization passes
     m1, m2 = np.meshgrid(q1, q2)
     assert np.array_equal(_even_odd_inside(poly, m1, m2), _even_odd_every_point(poly, m1, m2))
+
+
+def test_even_odd_on_edges_and_vertex_levels_is_bit_identical():
+    # points on every vertex, on the horizontal edges, and on every vertex's
+    # y-level across the polyline: the ends of the half-open edge intervals
+    poly = _POLYLINES["steps"]
+    xs = np.linspace(-0.75, 1.25, 41)
+    q1 = np.concatenate([poly[:, 0], np.tile(xs, len(poly))])
+    q2 = np.concatenate([poly[:, 1], np.repeat(poly[:, 1], len(xs))])
+    got = _even_odd_inside(poly, q1, q2)
+    assert np.array_equal(got, _even_odd_every_point(poly, q1, q2))
+    assert got.any() and not got.all()
+
+
+def test_even_odd_over_several_chunks_is_bit_identical():
+    # more points than one sorted chunk holds, with vertex y-levels and NaNs among them
+    poly = _POLYLINES["lens"]
+    rng = np.random.default_rng(7)
+    m = geometry._EVEN_ODD_CHUNK + 3001
+    q1 = rng.uniform(-0.1, 0.1, m)
+    q2 = rng.uniform(-0.05, 0.05, m)
+    levels = rng.random(m) < 0.25
+    q2[levels] = rng.choice(poly[:, 1], levels.sum())
+    q1[rng.random(m) < 0.01] = np.nan
+    q2[rng.random(m) < 0.01] = np.nan
+    got = _even_odd_inside(poly, q1, q2)
+    assert np.array_equal(got, _even_odd_every_point(poly, q1, q2))
+    assert got.any() and not got.all()

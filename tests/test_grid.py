@@ -101,6 +101,30 @@ def test_support_box_bounds_the_nonzero_entries():
     assert support_box(a) == (5, 32, 3, 32)
 
 
+def _support_box_two_scans(values):
+    """The support box with the columns looked for over every row."""
+    rows = np.flatnonzero(values.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(values.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def test_support_box_equals_the_two_scan_box():
+    rng = np.random.default_rng(11)
+    fields = [np.zeros((16, 16), complex)]
+    for i2, i1 in [(0, 0), (15, 15), (0, 15), (7, 3)]:
+        single = np.zeros((16, 16), complex)
+        single[i2, i1] = -1e-300j
+        fields.append(single)
+    for density in (0.001, 0.01, 0.1, 0.5):
+        for shape in ((64, 64), (40, 72)):
+            fields.append(np.where(rng.random(shape) < density,
+                                   rng.standard_normal(shape) + 1j, 0.0))
+    for a in fields:
+        assert support_box(a) == _support_box_two_scans(a)
+
+
 def _columns(n, cols, rng, dtype=np.complex128):
     """n x n field, zero outside the given columns, with zeros scattered inside them."""
     a = np.zeros((n, n), dtype=dtype)
@@ -130,6 +154,30 @@ def test_fft2_equals_scipy_bit_for_bit(n, cols):
     assert np.array_equal(fft2(a), expected)
     assert np.array_equal(a, before)          # overwrite_x=False leaves the input alone
     assert np.array_equal(fft2(a, overwrite_x=True), expected)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "padded"])
+@pytest.mark.parametrize("n, cols", [
+    (512, list(range(211, 301))),       # a strip: 90 columns
+    (256, [97]),                        # one column
+    (128, [0, 127]),                    # the first and last columns: no pruning
+    (256, list(range(128))),            # a far-field pad: the left half
+    (64, list(range(5, 20)) + [40]),    # two strips with a gap
+])
+def test_fft2_of_given_columns_equals_scipy_bit_for_bit(n, cols, layout):
+    # the axis-0 pass over the given columns and the axis-1 pass over every
+    # row do the arithmetic scipy's fft2 does, in either layout
+    a = _columns(n, cols, np.random.default_rng(n + len(cols)))
+    span = (min(cols), max(cols) + 1)
+    expected = sfft.fft2(a)
+    x = _as_layout(a, layout)
+    assert np.array_equal(fft2(x, cols=span), expected)
+    assert np.array_equal(x, a)               # overwrite_x=False leaves the input alone
+    got = fft2(x, overwrite_x=True, cols=span)
+    assert np.shares_memory(got, x)
+    assert np.array_equal(got, expected)
+    if layout == "padded":
+        assert not x.base[:, n:].any()        # nor does it touch the padding
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex64])

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 from scipy.sparse.linalg import gmres
 from scipy.special import hankel1
 
@@ -184,6 +185,22 @@ class TestDenseOracle:
         want = dense @ u
         got = scattering._NystromSystem(V, 4.0)._apply(u)
         assert np.linalg.norm(got - want) / np.linalg.norm(want) <= 1e-13
+
+    @pytest.mark.parametrize("support", ["disk", "strip"])
+    def test_apply_is_the_unpruned_composition_bit_for_bit(self, scatter_grid, rng, support):
+        # _apply transforms only V's columns and inverts only the first n rows;
+        # the full pad -> fft2 -> multiply -> ifft2 -> crop gives the same bits
+        n = scatter_grid.n_per_side
+        V = bump_field(scatter_grid, 0.4 - 0.3j)
+        if support == "strip":
+            V = ComplexField(scatter_grid, np.where(np.abs(scatter_grid.Z1 - 0.2) < 0.1,
+                                                    V.values, 0.0))
+        system = scattering._NystromSystem(V, 4.0)
+        u = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+        pad = np.zeros((2 * n, 2 * n), dtype=complex)
+        pad[:n, :n] = V.values * u.reshape(n, n)
+        conv = sfft.ifft2(sfft.fft2(pad) * system._kern_hat)[:n, :n]
+        assert np.array_equal(system._apply(u), (u.reshape(n, n) + conv).ravel())
 
     def test_far_field_data_matches_dense_solve(self, scatter_grid):
         k, n_ang = 4.0, 64
