@@ -19,7 +19,9 @@ support keeps the side_len/4 padding margin of the grid.  Both multipliers
 are cached per grid object; e^{i lam phi_x} is built on every call that needs
 it.  phi_x separates, so the phase is the outer product of two 1-D chirps,
 e^{-i lam (z2 - x2)^2} and e^{i lam (z1 - x1)^2}: 2n exponentials, not n^2
-(about 1 ms against 15 ms at 512^2 on 2 vCPU).
+(about 1 ms against 15 ms at 512^2 on 2 vCPU).  _phase_block builds the
+full-grid phase and is the one place that warns on an under-resolved lam;
+_phase builds it on a box.
 
 Flat-base rule: every full-grid elementwise pass of S1, its adjoint,
 dz_inv, dzbar_inv and the Picard loop runs on the flat (n, n + 4) block of
@@ -160,10 +162,10 @@ def _periodic_inverse(a, grid, symbol, overwrite_x=False, cols=None):
 
 
 def _inverse(F: ComplexField, symbol, check_support: bool) -> ComplexField:
-    """The periodic inverse of F; F's support check gives the first transform its columns."""
-    box = check_padding_support(F) if check_support else None
-    return ComplexField(F.grid, _periodic_inverse(F.values, F.grid, symbol,
-                                                  cols=None if box is None else box[2:]))
+    """The periodic inverse of F, after F's support check when check_support."""
+    if check_support:
+        check_padding_support(F)
+    return ComplexField(F.grid, _periodic_inverse(F.values, F.grid, symbol))
 
 
 def dz_inv(F: ComplexField, check_support: bool = True) -> ComplexField:
@@ -223,36 +225,17 @@ def _chirps(grid: FourierGrid, p: PhaseParams, box):
             _chirp(grid.z1[c0:c1], p.x[0], p.lam))
 
 
-def _warn_under_resolved(grid: FourierGrid, p: PhaseParams):
-    """RuntimeWarning past lam_resolution_limit, pointed at the caller of the phase's caller."""
-    if not p.lam <= lam_resolution_limit(grid):
-        warnings.warn(
-            f"lam*side^2/n^2 = {p.lam * grid.side_len**2 / grid.n_per_side**2:.3g} "
-            "> 1/4: oscillatory factor under-resolved on this grid",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-
-def _phase(grid: FourierGrid, p: PhaseParams, box=None) -> np.ndarray:
-    """e^{i lam phi_x} on the nodes, read-only; on box = (r0, r1, c0, c1) only if given.
+def _phase(grid: FourierGrid, p: PhaseParams, box) -> np.ndarray:
+    """e^{i lam phi_x} on the nodes of box = (r0, r1, c0, c1), read-only.
 
     phi_x = (z1 - x1)^2 - (z2 - x2)^2 separates, so the phase is the outer
     product of two 1-D chirps, e^{-i lam (z2 - x2)^2} down the rows and
     e^{i lam (z1 - x1)^2} along them: 2n exponentials instead of n^2.  Each
     chirp rounds its own argument, so the product is within
     4 eps lam max|z - x|^2 of the exponential of the joint argument (2.3e-13
-    at 512^2 of side 4, lam = 512), and exactly 1 at a node x.  The box phase
-    is the same two chirps cut to the box, so it equals that slice of the full
-    phase bit for bit.
-
-    The full phase warns (RuntimeWarning, pointed at the caller's caller) when
-    lam exceeds lam_resolution_limit, as _phase_block does.  The box phase
-    does not warn.
+    at 512^2 of side 4, lam = 512), and exactly 1 at a node x.  It is that
+    box of the full-grid phase, _phase_block, bit for bit, and does not warn.
     """
-    if box is None:
-        _warn_under_resolved(grid, p)
-        box = (0, grid.n_per_side, 0, grid.n_per_side)
     phase = np.multiply(*_chirps(grid, p, box))
     phase.flags.writeable = False
     return phase
@@ -261,11 +244,15 @@ def _phase(grid: FourierGrid, p: PhaseParams, box=None) -> np.ndarray:
 def _phase_block(grid: FourierGrid, p: PhaseParams, sign: int) -> np.ndarray:
     """e^{sign i lam phi_x} as the (n, n + 4) block of a padded_zeros view, read-only.
 
-    Its pad columns are 0.  The values are those of _phase(grid, p), or of
-    its conjugate, bit for bit.  s1_apply, s1_adjoint and solve_w each build
-    one, which warns as the full _phase does.
+    The one full-grid phase, which phase_mul, s1_apply, s1_adjoint and
+    solve_w each build: _phase on the box (0, n, 0, n), or its conjugate, bit
+    for bit, with pad columns 0.  The one warning site: past
+    lam_resolution_limit it warns (RuntimeWarning) at the caller's caller.
     """
-    _warn_under_resolved(grid, p)
+    if not p.lam <= lam_resolution_limit(grid):
+        warnings.warn(f"lam*side^2/n^2 = {p.lam * grid.side_len**2 / grid.n_per_side**2:.3g} "
+                      "> 1/4: oscillatory factor under-resolved on this grid",
+                      RuntimeWarning, stacklevel=3)
     n = grid.n_per_side
     view = padded_zeros(n)
     np.multiply(*_chirps(grid, p, (0, n, 0, n)), out=view)
@@ -284,8 +271,8 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    phase = _phase(F.grid, p)
-    return ComplexField(F.grid, (phase if sign > 0 else phase.conj()) * F.values)
+    n = F.grid.n_per_side
+    return ComplexField(F.grid, _phase_block(F.grid, p, sign)[:, :n] * F.values)
 
 
 def _s1_spectrum(a, grid, mid_phase, overwrite_x=False, cols=None):

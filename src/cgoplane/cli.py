@@ -24,7 +24,7 @@ def build_parser():
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--grid", type=int, default=None, help="grid samples per side")
         p.add_argument("--seed", type=int, default=None, help="rng seed")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers")
+        p.add_argument("--jobs", type=int, default=None, help="convergence sweep workers")
     return parser
 
 

@@ -50,8 +50,7 @@ import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .errors import BlobFormatError, DomainError, MeshMismatch, NearSingular
-from .grid import ComplexField
-from .utils import bilinear_sample, read_blob, write_blob
+from .utils import read_blob, write_blob
 
 _COND_LIMIT = 1e12
 
@@ -144,13 +143,15 @@ class PolarOperator:
 def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOperator:
     """The stencil of B(u,v) with the given potential, eliminated ring by ring.
 
-    V may be a ComplexField (sampled bilinearly onto the polar nodes), a
-    callable V(z1, z2), or None for the Laplacian.  n_r >= 2 rings, the last
-    on the circle.  A sample of V that is not finite raises DomainError
-    before any elimination.
+    V is a callable V(z1, z2), sampled at the polar nodes, or None for the
+    Laplacian; any other V raises DomainError.  n_r >= 2 rings, the last on
+    the circle.  A sample of V that is not finite raises DomainError before
+    any elimination.
     """
     if n_r < 2:
         raise DomainError(f"the polar grid needs at least 2 rings, got n_r={n_r}")
+    if V is not None and not callable(V):
+        raise DomainError(f"V must be a callable V(z1, z2) or None, got {type(V).__name__}")
     m = mesh.n_nodes
     R = mesh.radius
     hr = R / n_r
@@ -170,8 +171,6 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     z2 = mesh.center[1] + node_r * np.sin(node_theta)
     if V is None:
         v_nodes = np.zeros(n_dof, dtype=np.complex128)
-    elif isinstance(V, ComplexField):
-        v_nodes = bilinear_sample(V.grid, V.values, np.stack([z1, z2], axis=-1))
     else:
         v_nodes = np.asarray(V(z1, z2), dtype=np.complex128)
     if not np.all(np.isfinite(v_nodes)):
@@ -432,8 +431,7 @@ def solve_dirichlet(op: PolarOperator, f) -> PolarSolution:
 class DtnMatrix:
     """Discrete DtN operator on nodal boundary values."""
 
-    def __init__(self, entries: np.ndarray, mesh: BoundaryMesh, potential_tag: str,
-                 n_r: int | None = None):
+    def __init__(self, entries: np.ndarray, mesh: BoundaryMesh, potential_tag: str, n_r: int):
         m = mesh.n_nodes
         entries = np.asarray(entries, dtype=np.complex128)
         if entries.shape != (m, m):
@@ -441,7 +439,7 @@ class DtnMatrix:
         self.entries = entries
         self.mesh = mesh
         self.potential_tag = potential_tag
-        self.n_r = n_r  # rings of the polar solve it came from; None when not solved
+        self.n_r = n_r  # rings of the polar solve it came from
 
     def pair(self, f, g) -> complex:
         """Boundary pairing int (Dtn f) g with the mesh arc weights (no conjugation)."""

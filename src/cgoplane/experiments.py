@@ -53,6 +53,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not _is_number(value, numbers.Integral) or value < low:
                 raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+        # only convergence reads jobs; an unread setting is refused like an unread key
+        if self.jobs > 1 and self.name != "convergence":
+            raise ConfigError(f"jobs is read only by convergence, not by {self.name}")
         # FourierGrid's own refusal would come only once a runner builds its grid
         if not _is_pow2(self.grid_n):
             raise ConfigError(f"grid_n must be a power of two >= 2, got {self.grid_n!r}")
@@ -340,11 +343,8 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         return lambda_sweep(V, probes[i], lams, dtn_pair=dtn_pair)
 
     indices = [i for i in range(len(probes)) if not excluded[i]]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-            sweeps = list(ex.map(sweep_point, indices))
-    else:
-        sweeps = [sweep_point(i) for i in indices]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
+        sweeps = list(ex.map(sweep_point, indices))
 
     for i, sweep in zip(indices, sweeps):
         x = probes[i]
@@ -505,7 +505,8 @@ def run_stability(cfg: ExperimentConfig) -> dict:
         desc2 = _lens_potential_description(delta, **lens)
         V2_pw = potential_from_description(desc2)
         V2 = rasterize(V2_pw, g)
-        cdist = curve_distance_c2(V1_pw.pieces[0][1].boundary, V2_pw.pieces[0][1].boundary)
+        cdist = curve_distance_c2(V1_pw.pieces[0][1].boundary.segments,
+                                  V2_pw.pieces[0][1].boundary.segments)
         if not np.isfinite(cdist):
             raise ConfigError("perturbed boundary lost the common cover")
         A2 = dtn_matrix(V2_pw, mesh, n_r=n_r, potential_tag=f"lens-delta-{delta}")

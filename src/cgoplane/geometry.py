@@ -113,14 +113,12 @@ class GraphSegment:
 class PiecewiseBoundary:
     """Closed chain of graph segments forming a simple Lipschitz curve."""
 
-    def __init__(self, segments: Sequence[GraphSegment], closure: bool = True):
+    def __init__(self, segments: Sequence[GraphSegment]):
         if not segments:
             raise ValueError("boundary needs at least one segment")
         self.segments = list(segments)
-        self.closure = bool(closure)
-        if self.closure:
-            self._check_chain()
-            self._check_simple()
+        self._check_chain()
+        self._check_simple()
 
     def _check_chain(self):
         k = len(self.segments)
@@ -317,18 +315,18 @@ def make_disk(center=(0.0, 0.0), radius=1.0) -> SubDomain:
     return SubDomain(boundary, inside=inside)
 
 
-def curve_distance_c2(c1: PiecewiseBoundary, c2: PiecewiseBoundary) -> float:
+def curve_distance_c2(c1: Sequence[GraphSegment], c2: Sequence[GraphSegment]) -> float:
     """C^2 distance over a declared common cover, or inf when covers differ.
 
-    Both boundaries must list the same number of segments with matching
-    orientations and parameter intervals (the user-declared cover); the
-    result is the max over segments of the sup-distance of f, f', f'' on a
-    probe lattice.  This restricted value upper-bounds the cover infimum.
+    The covers are two segment sequences (a boundary's ``segments``, or an
+    open chain) with the same count, orientations and parameter intervals;
+    the result is the max over segments of the sup-distance of f, f', f'' on
+    a probe lattice.  This restricted value upper-bounds the cover infimum.
     """
-    if len(c1.segments) != len(c2.segments):
+    if len(c1) != len(c2):
         return math.inf
     worst = 0.0
-    for s1, s2 in zip(c1.segments, c2.segments):
+    for s1, s2 in zip(c1, c2):
         if s1.orientation != s2.orientation:
             return math.inf
         if (abs(s1.interval[0] - s2.interval[0]) > 1e-9

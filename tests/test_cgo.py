@@ -129,7 +129,7 @@ class TestPhaseMul:
         g = grid128
         # put x exactly on a node: both chirps are e^0 there
         x = (g.z1[70], g.z2[40])
-        assert cgo._phase(g, PhaseParams(123.0, x))[40, 70] == 1.0
+        assert cgo._phase(g, PhaseParams(123.0, x), (0, 128, 0, 128))[40, 70] == 1.0
 
     @pytest.mark.parametrize("n, lam", [(512, 128.0), (512, 512.0), (128, 64.0)])
     def test_phase_matches_the_exponential_of_phi(self, n, lam):
@@ -139,7 +139,7 @@ class TestPhaseMul:
         p = PhaseParams(lam, (0.13, -0.07))
         expected = np.exp(1j * lam * phi_values(g, p.x))
         reach = np.max((g.Z1 - p.x[0]) ** 2 + (g.Z2 - p.x[1]) ** 2)
-        got = cgo._phase(g, p)
+        got = cgo._phase(g, p, (0, n, 0, n))
         assert not got.flags.writeable
         assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps * lam * reach
 
@@ -150,7 +150,29 @@ class TestPhaseMul:
         r0, r1, c0, c1 = box = (n // 3, n // 2 + 5, n // 4, n // 2 - 3)
         got = cgo._phase(g, p, box)
         assert not got.flags.writeable
-        assert got.tobytes() == cgo._phase(g, p)[r0:r1, c0:c1].tobytes()
+        assert got.tobytes() == cgo._phase(g, p, (0, n, 0, n))[r0:r1, c0:c1].tobytes()
+
+    @pytest.mark.parametrize("n, lam", [(128, 64.0), (256, 384.0), (512, 512.0)])
+    def test_phase_block_is_the_full_box_phase_bit_for_bit(self, n, lam):
+        # the one full-grid phase: the full-box phase, or its conjugate, in a padded block
+        g = FourierGrid(n, 4.0)
+        p = PhaseParams(lam, (0.13, -0.07))
+        full = cgo._phase(g, p, (0, n, 0, n))
+        for sign, expected in ((+1, full), (-1, np.conj(full))):
+            block = cgo._phase_block(g, p, sign)
+            assert block.shape == (n, n + 4)
+            assert not block.flags.writeable
+            assert block[:, :n].tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert not block[:, n:].any()
+
+    @pytest.mark.parametrize("n, lam", [(128, 64.0), (256, 384.0)])
+    def test_phase_mul_is_the_full_box_product_bit_for_bit(self, rng, n, lam):
+        g = FourierGrid(n, 4.0)
+        F = supported_noise(g, rng)
+        p = PhaseParams(lam, (0.13, -0.07))
+        full = cgo._phase(g, p, (0, n, 0, n))
+        for sign, phase in ((+1, full), (-1, np.conj(full))):
+            assert cgo.phase_mul(F, p, sign).values.tobytes() == (phase * F.values).tobytes()
 
     def test_resolution_warning(self, grid128):
         F = gaussian_bump(grid128)

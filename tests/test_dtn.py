@@ -184,7 +184,7 @@ class TestOpnormDiff:
         A = dtn_matrix(None, mesh, n_r=160, potential_tag="zero")
         eps = 1e-3
         from cgoplane.dtn import DtnMatrix
-        B = DtnMatrix(A.entries + eps * np.eye(128), mesh, "pert")
+        B = DtnMatrix(A.entries + eps * np.eye(128), mesh, "pert", A.n_r)
         # eps * max_n (1+n^2)^{-1/2} = eps at the constant mode
         assert abs(dtn_opnorm_diff(A, B) - eps) < 1e-12
 
@@ -198,8 +198,8 @@ class TestOpnormDiff:
         lo[ns == 1, ns == 1] = 1e-3
         hi[ns == 20, ns == 20] = 1e-3
         to_nodal = lambda d: dft.conj().T @ d @ dft  # noqa: E731
-        g_lo = dtn_opnorm_diff(A, DtnMatrix(A.entries + to_nodal(lo), mesh, "lo"))
-        g_hi = dtn_opnorm_diff(A, DtnMatrix(A.entries + to_nodal(hi), mesh, "hi"))
+        g_lo = dtn_opnorm_diff(A, DtnMatrix(A.entries + to_nodal(lo), mesh, "lo", A.n_r))
+        g_hi = dtn_opnorm_diff(A, DtnMatrix(A.entries + to_nodal(hi), mesh, "hi", A.n_r))
         assert g_hi < g_lo
 
     def test_mesh_mismatch(self, mesh):
@@ -556,12 +556,13 @@ def test_complex_symmetry_for_random_potentials(modulus, arg, c1, c2, sigma):
     assert A.symmetry_defect() <= 1e-12
 
 
-def test_potential_from_field_sampling(mesh):
-    # ComplexField input is interpolated onto the polar nodes
-    g = FourierGrid(128, 4.0)
-    V = ComplexField.from_function(g, bump_potential())
-    a_field = dtn_matrix(V, mesh, n_r=96, potential_tag="field")
-    a_callable = dtn_matrix(bump_potential(), mesh, n_r=96, potential_tag="callable")
-    rel = (np.linalg.norm(a_field.entries - a_callable.entries)
-           / np.linalg.norm(a_callable.entries))
-    assert rel < 1e-3
+def test_potential_that_is_not_callable_refused(tmp_path):
+    # V is a callable or None: a rasterized field is refused with a typed error,
+    # and the cached call writes no blob
+    V = ComplexField.from_function(FourierGrid(128, 4.0), bump_potential())
+    small = BoundaryMesh(n_nodes=64)
+    with pytest.raises(DomainError, match="callable"):
+        dtn_matrix(V, small, n_r=16, potential_tag="field")
+    with pytest.raises(DomainError, match="callable"):
+        dtn_matrix_cached(tmp_path, "field", V, small, n_r=16, potential_tag="field")
+    assert list(tmp_path.iterdir()) == []

@@ -129,6 +129,20 @@ class TestConfig:
             cli_main(["counterexample", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_jobs_refused_where_no_runner_reads_it(self, tmp_path, source):
+        # only convergence runs its sweeps on workers; lemmas would run serially
+        args = ["lemmas", "--out", str(tmp_path / "o"), "--grid", "64"]
+        if source == "flag":
+            args += ["--jobs", "2"]
+        else:
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text('{"jobs": 2}')
+            args += ["--config", str(cfgfile)]
+        with pytest.raises(ConfigError, match="convergence"):
+            cli_main(args)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("params", [
         {"n_r": "64"}, {"n_r": 1}, {"n_r": 64.0}, {"lens": {"half_width": "0.08"}},
         {"deltas": 0.1},

@@ -95,30 +95,26 @@ class TestDisk:
 
 class TestCurveDistance:
     def test_identity_is_zero(self):
-        rh = make_rhombus()
-        assert curve_distance_c2(rh.boundary, rh.boundary) == 0.0
+        segs = make_rhombus().boundary.segments
+        assert curve_distance_c2(segs, segs) == 0.0
 
     def test_constant_shift(self):
-        a = make_rhombus().boundary
-        segs = list(make_rhombus().boundary.segments)
+        segs = make_rhombus().boundary.segments
         shifted = GraphSegment.from_polynomial("z1", (0.0, 1.0), [1e-3, 1.0])
-        # replace l1 by a shifted copy; skip closure checks for the comparison
-        b = PiecewiseBoundary([shifted] + segs[1:], closure=False)
-        assert abs(curve_distance_c2(a, b) - 1e-3) < 1e-12
+        # replace l1 by a shifted copy; the open chain is compared segment by segment
+        assert abs(curve_distance_c2(segs, [shifted] + segs[1:]) - 1e-3) < 1e-12
 
     def test_mismatched_covers_are_infinite(self):
-        rh = make_rhombus().boundary
-        one = PiecewiseBoundary([rh.segments[0]], closure=False)
-        assert curve_distance_c2(rh, one) == math.inf
+        segs = make_rhombus().boundary.segments
+        one = [segs[0]]
+        assert curve_distance_c2(segs, one) == math.inf
         # same count, different interval
-        other = PiecewiseBoundary(
-            [GraphSegment.from_polynomial("z1", (0.0, 2.0), [0.0, 1.0])], closure=False)
+        other = [GraphSegment.from_polynomial("z1", (0.0, 2.0), [0.0, 1.0])]
         assert curve_distance_c2(one, other) == math.inf
 
     def test_symmetry_and_triangle(self):
         base = [0.0, 1.0, -0.3]
-        mk = lambda c: PiecewiseBoundary(  # noqa: E731
-            [GraphSegment.from_polynomial("z1", (0.0, 1.0), c)], closure=False)
+        mk = lambda c: [GraphSegment.from_polynomial("z1", (0.0, 1.0), c)]  # noqa: E731
         A, B, C = mk(base), mk([0.05, 1.0, -0.3]), mk([0.02, 0.9, -0.3])
         dab = curve_distance_c2(A, B)
         dba = curve_distance_c2(B, A)

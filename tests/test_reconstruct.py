@@ -75,7 +75,7 @@ class TestRoutes:
         A_V, A_0 = disk_setup["A_V"], disk_setup["A_0"]
         v1 = reconstruct_boundary(A_V, A_0, disk_setup["V"], p)
         doubled = DtnMatrix(A_0.entries + 2 * (A_V.entries - A_0.entries),
-                            A_V.mesh, "doubled")
+                            A_V.mesh, "doubled", A_V.n_r)
         v2 = reconstruct_boundary(doubled, A_0, disk_setup["V"], p)
         assert abs(v2 - 2 * v1) / abs(v1) < 1e-10
 
