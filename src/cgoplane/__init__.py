@@ -5,7 +5,7 @@ quadratic-phase complex-geometrical-optics fields."""
 from .cgo import (PhaseParams, alias_margin, dz_inv, dzbar_inv, hs_norm, phase_mul,
                   s1_apply, solve_w, t_w_lambda)
 from .dtn import (BoundaryMesh, DtnMatrix, dtn_matrix, dtn_matrix_cached,
-                  dtn_opnorm_diff, load_dtn, save_dtn, solve_dirichlet)
+                  dtn_opnorm_diff, h1_norm, load_dtn, save_dtn, solve_dirichlet)
 from .errors import (AmplificationExceeded, BlobFormatError, CgoplaneError, ConfigError,
                      CutoffExceedsNyquist, DomainError, MeshMismatch, NearSingular,
                      NonConvergence, PerturbationTooLarge, ResolutionExceeded,

@@ -9,7 +9,8 @@ nodes sitting exactly on the circle.  The energy is block tridiagonal by
 ring; eliminating it from the center outward leaves the DtN matrix as the
 Schur complement on the boundary ring, complex-symmetric by construction (no
 conjugation), and the stored elimination gives the Dirichlet solve and the
-guard against 0 being a Dirichlet eigenvalue.
+guard against 0 being a Dirichlet eigenvalue.  solve_dirichlet returns the
+solved dof vector u, and h1_norm(op, u) gives its discrete H^1 norm.
 
 The energy is kept only as its stencil: the center entry A_cc, the radial
 coupling c_{j+1/2} of ring j to ring j+1 (ring 0 is the center), and per ring
@@ -130,8 +131,6 @@ class PolarOperator:
                                 # j0+1..n_r-1 with no annulus
     annulus: Annulus | None     # rings k+1..n_r-1; None when k = n_r-1
     schur: np.ndarray           # S_{n_r}: the interior eliminated onto the boundary ring
-    node_r: np.ndarray          # radius per dof
-    node_theta: np.ndarray
     node_weight: np.ndarray     # quadrature weight per dof
     potential: np.ndarray       # V per dof; its energy part is diag(V * node_weight)
 
@@ -229,8 +228,7 @@ def assemble_polar_operator(V, mesh: BoundaryMesh, n_r: int = 128) -> PolarOpera
     op = PolarOperator(mesh=mesh, n_r=n_r, a_cc=a_cc, radial=radial, angular=angular,
                        diag=diag, interior_idx=interior_idx, boundary_idx=boundary_idx,
                        v_ring=k, core=core, ring_solves=ring_solves, annulus=annulus,
-                       schur=schur, node_r=node_r, node_theta=node_theta,
-                       node_weight=node_weight, potential=v_nodes)
+                       schur=schur, node_weight=node_weight, potential=v_nodes)
     _condition_guard(op)
     return op
 
@@ -396,36 +394,31 @@ def _condition_guard(op: PolarOperator) -> float:
     return cond
 
 
-@dataclass
-class PolarSolution:
-    """Interior solution on the polar grid."""
-
-    op: PolarOperator
-    full: np.ndarray      # dof vector, ordered like the operator's: rings 1..n_r, then the center
-
-    def h1_norm(self) -> float:
-        """Discrete H^1 norm via the Dirichlet energy plus the L^2 mass."""
-        op = self.op
-        # the gradient energy is the energy less its potential diagonal
-        u = self.full.conj()
-        grad = complex(self.full @ (_energy_apply(op, u) - op.potential * op.node_weight * u))
-        mass = float(np.sum(np.abs(self.full) ** 2 * op.node_weight))
-        return float(np.sqrt(abs(grad.real) + mass))
+def h1_norm(op: PolarOperator, u) -> float:
+    """Discrete H^1 norm of the dof vector u, ordered like op's dofs, via the Dirichlet
+    energy plus the L^2 mass."""
+    # the gradient energy is the energy less its potential diagonal
+    u_bar = u.conj()
+    grad = complex(u @ (_energy_apply(op, u_bar) - op.potential * op.node_weight * u_bar))
+    mass = float(np.sum(np.abs(u) ** 2 * op.node_weight))
+    return float(np.sqrt(abs(grad.real) + mass))
 
 
-def solve_dirichlet(op: PolarOperator, f) -> PolarSolution:
+def solve_dirichlet(op: PolarOperator, f) -> np.ndarray:
     """Solve Lap u = V u with u = f on the mesh nodes of op, through op's stored
     elimination; one op serves any number of traces.
 
-    f is a length-n_nodes complex vector of nodal Dirichlet data.
+    f is a length-n_nodes complex vector of nodal Dirichlet data.  Returns the dof
+    vector u, ordered like op's dofs: rings 1..n_r, then the center; h1_norm(op, u)
+    gives its H^1 norm.
     """
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (op.mesh.n_nodes,):
         raise ValueError("boundary data must have one value per mesh node")
-    full = np.zeros(op.n_dof, dtype=np.complex128)
-    full[op.boundary_idx] = f
-    full[op.interior_idx] = _interior_solve(op, -_energy_apply(op, full)[op.interior_idx])
-    return PolarSolution(op=op, full=full)
+    u = np.zeros(op.n_dof, dtype=np.complex128)
+    u[op.boundary_idx] = f
+    u[op.interior_idx] = _interior_solve(op, -_energy_apply(op, u)[op.interior_idx])
+    return u
 
 
 class DtnMatrix:
@@ -440,11 +433,6 @@ class DtnMatrix:
         self.mesh = mesh
         self.potential_tag = potential_tag
         self.n_r = n_r  # rings of the polar solve it came from
-
-    def pair(self, f, g) -> complex:
-        """Boundary pairing int (Dtn f) g with the mesh arc weights (no conjugation)."""
-        return complex(np.sum(self.mesh.arc_weights * (self.entries @ np.asarray(f))
-                              * np.asarray(g)))
 
     def symmetry_defect(self) -> float:
         a = self.entries

@@ -23,7 +23,7 @@ from . import reference
 from .cgo import (PhaseParams, alias_margin, homogeneous_weight, hs_norm,
                   lam_resolution_limit, phase_mul, s1_adjoint, s1_apply, solve_w)
 from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
-                  dtn_matrix_cached, dtn_opnorm_diff, solve_dirichlet)
+                  dtn_matrix_cached, dtn_opnorm_diff, h1_norm, solve_dirichlet)
 from .errors import BlobFormatError, ConfigError
 from .geometry import curve_distance_c2
 from .grid import SUPPORT_TOL, ComplexField, FourierGrid, _is_pow2, fft2, ifft2
@@ -311,6 +311,14 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     """Error-vs-lambda tables and fitted slopes at probe points off the mask."""
     variant = cfg.params.get("variant", "smooth-bump")
     params = _merge_params(cfg, convergence_defaults(variant), extra=("potential_file",))
+    unread = sorted(set(cfg.params) & {"mesh_nodes", "n_r"})
+    mesh = None
+    if params["boundary_route"]:
+        # the mesh refuses its node count before the output directory exists
+        mesh = BoundaryMesh(radius=1.0, n_nodes=int(params["mesh_nodes"]))
+    elif unread:
+        raise ConfigError(f"convergence params {', '.join(unread)} are read only by the "
+                          "boundary route, which boundary_route turns off")
     n = cfg.grid_n
     side = float(params["side"])
     g = FourierGrid(n, side)
@@ -326,8 +334,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     excluded = wm.degenerate_mask | wm.near_curve_mask
 
     dtn_pair = None
-    if params["boundary_route"]:
-        mesh = BoundaryMesh(radius=1.0, n_nodes=int(params["mesh_nodes"]))
+    if mesh is not None:
         cache_dir = os.path.join(out, "dtn_cache")
         A_V = dtn_matrix_cached(cache_dir, V_pw.content_hash(), V_pw, mesh,
                                 n_r=int(params["n_r"]), potential_tag=V_pw.content_hash())
@@ -728,8 +735,7 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
     for lam in lams4:
         p = PhaseParams(lam, tuple(gr["x"]))
         tr = bukhgeim_trace(Vg, p, mesh)
-        sol = solve_dirichlet(op, tr)
-        h1s.append(sol.h1_norm())
+        h1s.append(h1_norm(op, solve_dirichlet(op, tr)))
     record("special_solution_growth", lams4, h1s, None, 1.1 * (2 * radius) ** 2,
            note="linear fit of log H^1 norm vs lambda",
            fit=lambda lams, vals: fit_linear_slope(lams, np.log(vals)))
@@ -804,7 +810,8 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
     write_csv(os.path.join(out, "far_field_samples.csv"),
               ["i_eta", "j_theta", "re", "im"],
               [(i, j, data.samples[i, j].real, data.samples[i, j].imag)
-               for i in range(0, data.n_eta, 4) for j in range(0, data.n_theta, 4)])
+               for i in range(0, data.samples.shape[0], 4)
+               for j in range(0, data.samples.shape[1], 4)])
     _save_far_field(os.path.join(out, "far_field.ffd"), data)
 
     summary = {"experiment": "scatter", "k": k, "nystrom_n": nys_n,
@@ -826,12 +833,11 @@ def _save_far_field(path, data: FarFieldData):
 def load_far_field(path) -> FarFieldData:
     header, coeffs = read_blob(path, _FF_MAGIC)
     try:
-        n_eta, n_theta = FarFieldData.angle_grid(coeffs.shape)
+        FarFieldData.angle_grid(coeffs.shape)
         k = float(header["k"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BlobFormatError(f"{path}: {exc!r}") from exc
-    samples = np.fft.ifft2(coeffs) * (n_eta * n_theta)
-    return FarFieldData(k=k, n_eta=n_eta, n_theta=n_theta, samples=samples, coeffs=coeffs)
+    return FarFieldData(k=k, samples=np.fft.ifft2(coeffs) * coeffs.size, coeffs=coeffs)
 
 
 RUNNERS = {

@@ -250,14 +250,7 @@ class SubDomain:
             poly = self._poly
             inside = lambda q1, q2: _even_odd_inside(poly, q1, q2)  # noqa: E731
         self.inside = inside
-        self.area = self._shoelace()
         self._check_predicate()
-
-    def _shoelace(self) -> float:
-        p = self._poly
-        x, y = p[:, 0], p[:, 1]
-        s = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-        return float(abs(s) / 2)
 
     def bbox(self):
         p = self._poly

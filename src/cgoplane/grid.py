@@ -205,9 +205,6 @@ class ComplexField:
         """Sample fn(Z1, Z2) on the nodes."""
         return cls(grid, np.asarray(fn(grid.Z1, grid.Z2), dtype=np.complex128))
 
-    def conj(self):
-        return ComplexField(self.grid, np.conj(self.values))
-
     def _coerce(self, other):
         if isinstance(other, ComplexField):
             if not self.grid.same_as(other.grid):
@@ -228,9 +225,6 @@ class ComplexField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ComplexField(self.grid, -self.values)
-
     def l2_norm(self) -> float:
         """Grid L^2 norm, h * ||values||_2."""
         return float(self.grid.h * np.linalg.norm(self.values))
@@ -243,13 +237,6 @@ class ComplexField:
 
     def mean(self) -> complex:
         return complex(np.mean(self.values))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def integral(self) -> complex:
-        """Trapezoid (= midpoint) quadrature over the periodic square."""
-        return complex(self.grid.h**2 * np.sum(self.values))
 
 
 def check_padding_support(field: ComplexField, what: str = "field"):

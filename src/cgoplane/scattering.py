@@ -50,10 +50,8 @@ def green0(dist, k):
     d = np.asarray(dist, float)
     if np.any(d <= 0):
         raise DomainError("green0 needs a positive distance")
-    scalar = np.isscalar(dist)
     x = d * k
-    val = 0.25j * (special.j0(x) + 1j * special.y0(x))
-    return complex(val) if scalar and val.shape == () else val
+    return 0.25j * (special.j0(x) + 1j * special.y0(x))
 
 
 def plane_waves(grid: FourierGrid, k: float, dirs) -> np.ndarray:
@@ -178,8 +176,6 @@ class FarFieldData:
     """Angular samples A(eta_i, theta_j) and their Fourier coefficients."""
 
     k: float
-    n_eta: int
-    n_theta: int
     samples: np.ndarray
     coeffs: np.ndarray
 
@@ -196,12 +192,11 @@ class FarFieldData:
         samples = np.asarray(samples, dtype=complex)
         n_eta, n_theta = cls.angle_grid(samples.shape)
         coeffs = np.fft.fft2(samples) / (n_eta * n_theta)
-        return cls(k=float(k), n_eta=n_eta, n_theta=n_theta,
-                   samples=samples, coeffs=coeffs)
+        return cls(k=float(k), samples=samples, coeffs=coeffs)
 
     def consistency(self) -> float:
         """Max reconstruction error of samples from coeffs."""
-        back = np.fft.ifft2(self.coeffs) * (self.n_eta * self.n_theta)
+        back = np.fft.ifft2(self.coeffs) * self.samples.size
         return float(np.max(np.abs(back - self.samples)))
 
 
@@ -267,14 +262,12 @@ def k_norm(F: FarFieldData, cutoff: int = 10) -> KNormResult:
     k = 4, so the coefficients' roundoff floor (about 5e-19) stays far below the value;
     at cutoff 32 they reach 1.5e89 and roundoff sets the value.
     """
-    nyq_eta = F.n_eta // 2 - 1
-    nyq_theta = F.n_theta // 2 - 1
-    if cutoff > min(nyq_eta, nyq_theta):
-        raise CutoffExceedsNyquist(
-            f"cutoff {cutoff} exceeds angular Nyquist {min(nyq_eta, nyq_theta)}"
-        )
-    n_idx = np.fft.fftfreq(F.n_eta, d=1.0 / F.n_eta).astype(int)
-    m_idx = np.fft.fftfreq(F.n_theta, d=1.0 / F.n_theta).astype(int)
+    n_eta, n_theta = F.samples.shape
+    nyq = min(n_eta, n_theta) // 2 - 1
+    if cutoff > nyq:
+        raise CutoffExceedsNyquist(f"cutoff {cutoff} exceeds angular Nyquist {nyq}")
+    n_idx = np.fft.fftfreq(n_eta, d=1.0 / n_eta).astype(int)
+    m_idx = np.fft.fftfreq(n_theta, d=1.0 / n_theta).astype(int)
     keep_n = np.abs(n_idx) <= cutoff
     keep_m = np.abs(m_idx) <= cutoff
     # weights only inside the cutoff window; outside they may overflow anyway

@@ -177,9 +177,7 @@ def test_criterion_5_dtn_fidelity():
     lhs = complex(np.sum(mesh.arc_weights * ((AV.entries - A0.entries) @ f1) * f2))
     u1 = solve_dirichlet(opV, f1)
     u2 = solve_dirichlet(op0, f2)
-    z1 = opV.node_r * np.cos(opV.node_theta)
-    z2 = opV.node_r * np.sin(opV.node_theta)
-    rhs = complex(np.sum(u1.full * u2.full * vfun(z1, z2) * opV.node_weight))
+    rhs = complex(np.sum(u1 * u2 * opV.potential * opV.node_weight))
     rel = abs(lhs - rhs) / abs(rhs)
     checks.append(("boundary/interior pairing identity <= 1%", rel <= 0.01,
                    f"rel {rel:.2e}"))

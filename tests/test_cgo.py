@@ -38,8 +38,8 @@ def test_phase_params_refuse_non_finite_values(lam, x):
 class TestWirtingerInverses:
     def test_zero_maps_to_zero(self, grid256):
         z = ComplexField.zeros(grid256)
-        assert cgo.dz_inv(z).max_abs() == 0.0
-        assert cgo.dzbar_inv(z).max_abs() == 0.0
+        assert np.max(np.abs(cgo.dz_inv(z).values)) == 0.0
+        assert np.max(np.abs(cgo.dzbar_inv(z).values)) == 0.0
 
     def test_derivative_of_bump_inverts_back(self, grid256):
         g = gaussian_bump(grid256)
@@ -70,9 +70,9 @@ class TestWirtingerInverses:
 
     def test_conjugation_identity_pointwise(self, grid128, rng):
         F = supported_noise(grid128, rng)
-        lhs = cgo.dzbar_inv(F.conj(), check_support=False)
-        rhs = cgo.dz_inv(F, check_support=False).conj()
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-12
+        lhs = cgo.dzbar_inv(ComplexField(grid128, np.conj(F.values)), check_support=False)
+        rhs = np.conj(cgo.dz_inv(F, check_support=False).values)
+        assert np.max(np.abs(lhs.values - rhs)) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([16, 32, 64, 128]), side=st.floats(0.5, 20.0),
@@ -85,9 +85,9 @@ class TestWirtingerInverses:
             max_magnitude=1e6, allow_nan=False, allow_infinity=False)))
         F = ComplexField(FourierGrid(n, side), drawn + scale * (
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
-        rhs = cgo.dz_inv(F, check_support=False).conj()
-        lhs = cgo.dzbar_inv(F.conj(), check_support=False)
-        assert np.max(np.abs(lhs.values - rhs.values)) <= 1e-12 * np.max(np.abs(rhs.values))
+        rhs = np.conj(cgo.dz_inv(F, check_support=False).values)
+        lhs = cgo.dzbar_inv(ComplexField(F.grid, np.conj(F.values)), check_support=False)
+        assert np.max(np.abs(lhs.values - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_support_violation_propagates(self, grid128):
         shifted = ComplexField.from_function(
@@ -221,7 +221,7 @@ class TestPhaseMul:
     def test_s1_zero(self, grid128):
         p = PhaseParams(10.0, (0.0, 0.0))
         out = cgo.s1_apply(ComplexField.zeros(grid128), p)
-        assert out.max_abs() == 0.0
+        assert np.max(np.abs(out.values)) == 0.0
 
     def test_s1_is_the_phase_mul_composition_bit_for_bit(self, grid128, rng):
         F = supported_noise(grid128, rng)
@@ -323,7 +323,7 @@ class TestSolveW:
     def test_zero_potential_gives_zero(self, grid128):
         p = PhaseParams(16.0, (0.2, 0.1))
         w = cgo.solve_w(ComplexField.zeros(grid128), p)
-        assert w.max_abs() == 0.0
+        assert np.max(np.abs(w.values)) == 0.0
 
     def test_fixed_point_residual(self, grid256):
         V = gaussian_bump(grid256)
@@ -374,7 +374,7 @@ class TestSolveW:
         monkeypatch.setattr(cgo, "fft2", refuse)
         monkeypatch.setattr(cgo, "ifft2", refuse)
         w = cgo.solve_w(ComplexField.zeros(grid128), PhaseParams(16.0, (0.2, 0.1)))
-        assert w.max_abs() == 0.0
+        assert np.max(np.abs(w.values)) == 0.0
 
     def test_second_solve_leaves_the_first_result_alone(self, grid128):
         V = gaussian_bump(grid128, sigma=0.1)

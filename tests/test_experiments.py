@@ -8,7 +8,7 @@ import pytest
 
 from cgoplane.cgo import PhaseParams, alias_margin, homogeneous_weight, s1_apply
 from cgoplane.cli import main as cli_main
-from cgoplane.errors import BlobFormatError, ConfigError
+from cgoplane.errors import BlobFormatError, ConfigError, DomainError
 from cgoplane.experiments import (_FF_MAGIC, PWC_DISK_POTENTIAL, RUNNERS, ExperimentConfig,
                                   _critical_field, _merge_params, _s1_opnorm, _save_far_field,
                                   lemma_defaults, load_far_field, run_convergence,
@@ -106,13 +106,25 @@ class TestConfig:
         ("convergence", '{"params": {"variant": "pwc-disk"'),       # unparseable
         ("convergence", '{"params": ["pwc-disk"]}'),                # params not an object
         ("stability", '{"params": {"lens": {"half_widht": 0.08}}}'),  # misspelt nested key
+        # boundary-route keys with the route off, which nothing would read
+        ("convergence", '{"params": {"variant": "pwc-disk", "n_r": 7}}'),
+        ("convergence", '{"params": {"variant": "pwc-disk", "mesh_nodes": 99}}'),
+        ("convergence", '{"params": {"boundary_route": false, "mesh_nodes": 128}}'),
     ], ids=["top-level-key", "not-an-object", "unparseable", "params-not-an-object",
-            "nested-key"])
+            "nested-key", "unread-n_r", "unread-mesh_nodes", "route-off-mesh_nodes"])
     def test_bad_config_file_refused_before_any_output(self, tmp_path, experiment, text):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(text)
         with pytest.raises(ConfigError):
             cli_main([experiment, "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+                      "--grid", "64"])
+        assert not (tmp_path / "o").exists()
+
+    def test_boundary_mesh_refused_before_any_output(self, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text('{"params": {"mesh_nodes": 10}}')
+        with pytest.raises(DomainError, match="64 nodes"):
+            cli_main(["convergence", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
                       "--grid", "64"])
         assert not (tmp_path / "o").exists()
 
@@ -248,10 +260,12 @@ class TestDeterminism:
         assert b1 == b2
 
     def test_lemmas_outputs_byte_identical(self, tmp_path):
-        # the smoothing-operator norms start ARPACK from a seeded vector
+        # the smoothing-operator norms start ARPACK from a seeded vector; 64^2
+        # under-resolves the largest lambdas
         for d in ("a", "b"):
-            run_lemma_checks(ExperimentConfig(name="lemmas", out_dir=str(tmp_path / d),
-                                              grid_n=64))
+            with pytest.warns(RuntimeWarning, match="under-resolved"):
+                run_lemma_checks(ExperimentConfig(name="lemmas", out_dir=str(tmp_path / d),
+                                                  grid_n=64))
         for name in ("lemma_summary.json", "lemma_checks.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -325,7 +339,7 @@ class TestScatterRunner:
         path = tmp_path / "f.ffd"
         _save_far_field(path, data)
         back = load_far_field(path)
-        assert (back.k, back.n_eta, back.n_theta) == (4.0, 64, 128)
+        assert (back.k, back.samples.shape) == (4.0, (64, 128))
         assert np.array_equal(back.coeffs, data.coeffs)
         path.write_bytes(b"DTNBLOB1" + path.read_bytes()[8:])
         with pytest.raises(BlobFormatError):
@@ -392,7 +406,8 @@ class TestLemmaRunner:
                                                   "n_r": 48, "lambdas": [2.0, 4.0],
                                                   "sigma": 0.25, "amp": 0.2,
                                                   "x": [0.2, -0.1], "side": 4.0}})
-        summary = run_lemma_checks(cfg)
+        with pytest.warns(RuntimeWarning, match="under-resolved"):  # 64^2 at the largest lambdas
+            summary = run_lemma_checks(cfg)
         names = {c["name"] for c in summary["checks"]}
         assert "phase_mul_duality_decay" in names
         assert "special_solution_growth" in names

@@ -240,7 +240,14 @@ def test_padding_guard_skipped_only_where_allowed():
 
 def unused_public_api(*sources: str) -> list[str]:
     """Public top-level functions and classes, and public non-property methods,
-    whose name no Name or Attribute node of any of ``sources`` mentions."""
+    whose name no Name or Attribute node of any of ``sources`` mentions.
+
+    A method is matched by its name only, so a mention of any attribute of
+    that name counts: a method that shares its name with a numpy array's or
+    another class's escapes the check (``ComplexField.conj`` and
+    ``ComplexField.max_abs`` did, beside ``ndarray.conj`` and
+    ``PiecewisePotential.max_abs``).  Dunder methods are not public.
+    """
     trees = [ast.parse(s) for s in sources]
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -275,10 +282,8 @@ def test_detector_sees_unused_public_api():
 API_ALLOWLIST = {
     "dz_inv",                     # public inverse d; tests pin it, perfbench/tracer.py wraps it
     "dzbar_inv",                  # public inverse d-bar; tests pin it, perfbench/tracer.py wraps it
-    "DtnMatrix.pair",             # the boundary pairing identity test
     "DtnMatrix.symmetry_defect",  # acceptance criterion 5
     "load_far_field",             # reads the far-field blob the scatter runner writes
-    "ComplexField.integral",      # grid quadrature; tests check rasterized areas with it
     "dsr_norm_upper",             # ROADMAP item 13 (the D^{s,r} stability norm)
     "degenerate_locus",           # acceptance criterion 6
     "stationarity_residuals",     # acceptance criterion 6
@@ -367,6 +372,30 @@ PROGRAM_SOURCES = [p.read_text() for root in (SRC, SRC.parents[1] / "tests",
 def test_no_default_that_no_call_sets(path):
     # a default no caller overrides is a constant dressed up as an option
     assert defaults_never_set(path.read_text(), *PROGRAM_SOURCES) == []
+
+
+# defaults that only tests set, each for a stated reason
+TEST_ONLY_DEFAULTS = {
+    "dz_inv.check_support",        # the bit-identity tests build S1's reference composition
+    "dzbar_inv.check_support",     # on full-square fields, as _s1_opnorm's forward pass does
+    "solve_w.max_iter",            # the NonConvergence test runs out a short Picard budget
+    "main.argv",                   # the in-process CLI tests pass the command line
+    "degenerate_locus.delta",      # acceptance criterion 6
+    "degenerate_locus.n_samples",  # acceptance criterion 6
+    "tangent_set_area.band",       # acceptance criterion 6
+    "tangent_set_area.n_mc",       # acceptance criterion 6
+    "tangent_set_area.seed",       # acceptance criterion 6
+}
+
+LIBRARY_SOURCES = [p.read_text() for root in (SRC, SRC.parents[1] / "perfbench")
+                   for p in sorted(root.glob("*.py")) if not p.name.startswith("test_")]
+
+
+def test_defaults_only_tests_set_are_allowed():
+    # a default the package and the benchmark never set serves the tests alone
+    found = {label for path in MODULES
+             for label in defaults_never_set(path.read_text(), *LIBRARY_SOURCES)}
+    assert found == TEST_ONLY_DEFAULTS
 
 
 def unread_dataclass_fields(source: str, *readers: str) -> list[str]:

@@ -55,7 +55,7 @@ class TestBukhgeimTrace:
         w = solve_w(disk_setup["V"], p)
         tr = bukhgeim_trace(disk_setup["V"], p, mesh, w=w)
         im_psi = (mesh.nodes[:, 0] - 0.1) * (mesh.nodes[:, 1] - 0.05)
-        bound = np.exp(p.lam * np.max(np.abs(im_psi))) * (1 + w.max_abs())
+        bound = np.exp(p.lam * np.max(np.abs(im_psi))) * (1 + np.max(np.abs(w.values)))
         assert np.max(np.abs(tr)) <= bound * (1 + 1e-12)
 
 
@@ -130,7 +130,8 @@ class TestRoutes:
 
         V = (1.0 + 0.7j) * disk_setup["V"]
         p = PhaseParams(24.0, (0.05, 0.1))
-        standard = reconstruct_interior(V.conj(), p, w=solve_w(V.conj(), p))
+        V_bar = ComplexField(V.grid, np.conj(V.values))
+        standard = reconstruct_interior(V_bar, p, w=solve_w(V_bar, p))
 
         # mirrored machinery applied to V itself
         g = V.grid
@@ -206,7 +207,8 @@ class TestLambdaSweep:
     def test_nonconvergent_lambdas_recorded(self):
         g = FourierGrid(128, 4.0)
         V = gaussian_bump(g, sigma=0.18, amp=500.0)
-        res = lambda_sweep(V, (0.0, 0.0), [2.0, 1000.0])
+        with pytest.warns(RuntimeWarning, match="under-resolved"):  # lambda 1000 on 128^2
+            res = lambda_sweep(V, (0.0, 0.0), [2.0, 1000.0])
         assert 2.0 in res.failures
         assert len(res.samples) == 1
 
