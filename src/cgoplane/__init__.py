@@ -13,7 +13,7 @@ from .errors import (AmplificationExceeded, BlobFormatError, CgoplaneError, Conf
 from .geometry import (GraphSegment, PiecewiseBoundary, SubDomain, curve_distance_c2,
                        make_disk, make_rhombus)
 from .grid import ComplexField, FourierGrid
-from .potentials import (PiecewisePotential, chi_hr_norm, dsr_norm_upper, load_potential,
+from .potentials import (PiecewisePotential, chi_hr_norm, dsr_norm_upper,
                          potential_from_description, rasterize, w_s1_norm)
 from .reconstruct import (AMPLIFICATION_BUDGET, ErrorWeightMap, ReconSample,
                           amplification_exponent, build_error_weight_map,

@@ -24,7 +24,8 @@ def build_parser():
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--grid", type=int, default=None, help="grid samples per side")
         p.add_argument("--seed", type=int, default=None, help="rng seed")
-        p.add_argument("--jobs", type=int, default=None, help="convergence sweep workers")
+        p.add_argument("--jobs", type=int, default=None, help="convergence sweep workers "
+                       "(more than one pays only with OPENBLAS_NUM_THREADS=1)")
     return parser
 
 

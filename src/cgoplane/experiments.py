@@ -27,14 +27,13 @@ from .dtn import (BoundaryMesh, assemble_polar_operator, dtn_matrix,
 from .errors import BlobFormatError, ConfigError
 from .geometry import curve_distance_c2
 from .grid import SUPPORT_TOL, ComplexField, FourierGrid, _is_pow2, fft2, ifft2
-from .potentials import load_potential, potential_from_description, rasterize
+from .potentials import potential_from_description, rasterize
 from .reconstruct import (AMPLIFICATION_BUDGET, build_error_weight_map, bukhgeim_trace,
                           lambda_sweep, reconstruct_interior)
 from .scattering import (FarFieldData, compute_far_field_data, far_field, k_norm,
                          solve_lippmann_schwinger)
 from .stationary import FunctionBundle, osc_integral_1d
-from .utils import (fit_linear_slope, fit_loglog_slope, read_blob, write_blob, write_csv,
-                    write_json)
+from .utils import fit_loglog_slope, read_blob, write_blob, write_csv, write_json
 
 
 @dataclass
@@ -72,9 +71,6 @@ class ExperimentConfig:
             raise ConfigError(f"lambdas must be a list of numbers, got {sched!r}")
         if sched is not None and any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("lambda schedule must be strictly increasing")
-        ref = self.params.get("potential_file")
-        if ref is not None and not os.path.exists(ref):
-            raise ConfigError(f"referenced description file does not exist: {ref}")
 
 
 def _is_number(value, kind) -> bool:
@@ -118,16 +114,16 @@ def _same_kind(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-def _merge_params(cfg, defaults, extra=(), groups=()):
+def _merge_params(cfg, defaults, groups=()):
     """The runner's defaults overridden by ``cfg.params``.
 
-    A key outside the defaults and ``extra`` raises ConfigError, so a typo
-    cannot silently run the default, and so does a value whose type differs
-    from its default's, or an n_r below 2.  Each of ``groups`` is a nested
+    A key outside the defaults raises ConfigError, so a typo cannot silently
+    run the default, and so does a value whose type differs from its
+    default's, or an n_r below 2.  Each of ``groups`` is a nested
     dict merged key by key over its default under the same rules.
     """
-    def merge(given, base, where, allowed=()):
-        unknown = sorted(set(given) - set(base) - set(allowed))
+    def merge(given, base, where):
+        unknown = sorted(set(given) - set(base))
         if unknown:
             raise ConfigError(f"unknown {where} params: {', '.join(unknown)}")
         for key, value in given.items():
@@ -139,7 +135,7 @@ def _merge_params(cfg, defaults, extra=(), groups=()):
                 raise ConfigError(f"{where} param n_r must be >= 2, got {value!r}")
         return {**base, **given}
 
-    params = merge(cfg.params, defaults, cfg.name, extra)
+    params = merge(cfg.params, defaults, cfg.name)
     for key in groups:
         if not isinstance(params[key], dict):
             raise ConfigError(f"{cfg.name} param {key} must be an object")
@@ -175,7 +171,6 @@ def counterexample_defaults() -> dict:
         "t_values": [0.5, 1.0, 1.5],
         "lambdas": [8.0, 12.0, 16.0, 20.0],
         "side": 8.0,
-        "potential": RHOMBUS_POTENTIAL,
     }
 
 
@@ -195,8 +190,8 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     n = cfg.grid_n
     h = side / n
     g = FourierGrid(n, side, center=(0.0, h / 2))
-    V_pw = potential_from_description(params["potential"])
-    V = rasterize(V_pw, g)
+    # the oracle, the candidate constants and the side phases hold for this potential only
+    V = rasterize(potential_from_description(RHOMBUS_POTENTIAL), g)
 
     out = _outdir(cfg)
     rows = []
@@ -286,7 +281,6 @@ def convergence_defaults(variant="smooth-bump") -> dict:
             # lam <~ 16-24 here) and the interior route's large-lam regime
             "lambdas": [2.0, 4.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0, 128.0, 256.0, 512.0],
             "probes": [[a, b] for a in (-0.15, 0.0, 0.15) for b in (-0.15, 0.0, 0.15)],
-            "boundary_route": True,
             "mesh_nodes": 128,
             "n_r": 192,
             "mask_grid": None,
@@ -299,9 +293,6 @@ def convergence_defaults(variant="smooth-bump") -> dict:
             "lambdas": [128.0, 256.0, 384.0, 512.0],
             "probes": [[0.0, 0.0], [0.15, 0.0], [0.0, 0.15], [-0.15, 0.0], [0.0, -0.15],
                        [0.45, 0.0], [0.0, 0.45], [-0.45, 0.0], [0.0, -0.45]],
-            "boundary_route": False,
-            "mesh_nodes": 128,
-            "n_r": 192,
             "mask_grid": {"lo": -0.55, "hi": 0.55, "n": 21},
         }
     raise ConfigError(f"unknown convergence variant {variant!r}")
@@ -310,20 +301,18 @@ def convergence_defaults(variant="smooth-bump") -> dict:
 def run_convergence(cfg: ExperimentConfig) -> dict:
     """Error-vs-lambda tables and fitted slopes at probe points off the mask."""
     variant = cfg.params.get("variant", "smooth-bump")
-    params = _merge_params(cfg, convergence_defaults(variant), extra=("potential_file",))
-    unread = sorted(set(cfg.params) & {"mesh_nodes", "n_r"})
-    mesh = None
-    if params["boundary_route"]:
-        # the mesh refuses its node count before the output directory exists
-        mesh = BoundaryMesh(radius=1.0, n_nodes=int(params["mesh_nodes"]))
-    elif unread:
-        raise ConfigError(f"convergence params {', '.join(unread)} are read only by the "
-                          "boundary route, which boundary_route turns off")
+    params = _merge_params(cfg, convergence_defaults(variant))
+    mg = params["mask_grid"]
+    if mg and not (_is_number(mg["n"], numbers.Integral) and mg["n"] >= 1):
+        # an empty dense grid would write its NaN fractions after the sweeps
+        raise ConfigError(f"convergence mask_grid n must be an integer >= 1, got {mg['n']!r}")
+    # the mesh refuses its node count before the output directory exists
+    mesh = (BoundaryMesh(radius=1.0, n_nodes=int(params["mesh_nodes"]))
+            if "mesh_nodes" in params else None)
     n = cfg.grid_n
     side = float(params["side"])
     g = FourierGrid(n, side)
-    V_pw = (load_potential(params["potential_file"]) if "potential_file" in params
-            else potential_from_description(params["potential"]))
+    V_pw = potential_from_description(params["potential"])
     V = rasterize(V_pw, g)
     lams = [float(v) for v in params["lambdas"]]
     probes = np.asarray(params["probes"], float)
@@ -396,8 +385,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
 
     # dense mask-fraction grid, stationary analysis only
     mask_info = None
-    if params.get("mask_grid"):
-        mg = params["mask_grid"]
+    if mg:
         ax = np.linspace(mg["lo"], mg["hi"], mg["n"])
         g1, g2 = np.meshgrid(ax, ax)
         pts = np.stack([g1.ravel(), g2.ravel()], axis=-1)
@@ -485,6 +473,8 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     """Perturb the discontinuity curve, track DtN gap, schedule lambda, reconstruct."""
     params = _merge_params(cfg, stability_defaults(), groups=("lens",))
     lens = params["lens"]
+    if not lens["half_width"] > 0:
+        raise ConfigError(f"stability lens half_width must be > 0, got {lens['half_width']!r}")
     deltas = [float(d) for d in params["deltas"]]
     radius = float(params["disk_radius"])
     diameter = 2 * radius
@@ -738,7 +728,7 @@ def run_lemma_checks(cfg: ExperimentConfig) -> dict:
         h1s.append(h1_norm(op, solve_dirichlet(op, tr)))
     record("special_solution_growth", lams4, h1s, None, 1.1 * (2 * radius) ** 2,
            note="linear fit of log H^1 norm vs lambda",
-           fit=lambda lams, vals: fit_linear_slope(lams, np.log(vals)))
+           fit=lambda lams, vals: float(np.polyfit(lams, np.log(vals), 1)[0]))
 
     out = _outdir(cfg)
     write_csv(os.path.join(out, "lemma_checks.csv"),
@@ -774,6 +764,16 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
     k = float(params["k"])
     sig = float(params["sigma"])
     nys_n = int(params["nystrom_n"])
+    n_angles = int(params["n_angles"])
+    if not k > 0:
+        # y0(0) is NaN, which the solver would report as a resonance
+        raise ConfigError(f"scatter k must be > 0, got {k!r}")
+    if not _is_pow2(nys_n):
+        raise ConfigError(f"scatter nystrom_n must be a power of two >= 2, got {nys_n!r}")
+    try:
+        FarFieldData.angle_grid((n_angles, n_angles))
+    except ValueError as exc:
+        raise ConfigError(f"scatter n_angles: {exc}") from exc
     g = FourierGrid(nys_n, float(params["side"]))
     out = _outdir(cfg)
 
@@ -804,8 +804,7 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
 
     # full angular dataset and the weighted norm
     V = make_v(params["epsilons"][0])
-    data = compute_far_field_data(V, k, n_eta=int(params["n_angles"]),
-                                  n_theta=int(params["n_angles"]))
+    data = compute_far_field_data(V, k, n_eta=n_angles, n_theta=n_angles)
     norm = k_norm(data, cutoff=int(params["cutoff"]))
     write_csv(os.path.join(out, "far_field_samples.csv"),
               ["i_eta", "j_theta", "re", "im"],

@@ -9,10 +9,11 @@ is the padding band that keeps the periodic Cauchy transforms away from
 wrap-around artifacts.
 
 FFTs run on scipy's single worker; parallelism comes only from the runners'
-``jobs``.  A second worker did not pay at the sizes used here: an in-place
-128^2 transform took 0.164 ms against 0.133 ms on one worker, 256^2 0.648
-against 0.591 ms, and 512^2 was a tie (3.37 ms; medians of 30 interleaved
-trials on 2 vCPU).
+``jobs``, which pays only with ``OPENBLAS_NUM_THREADS=1``: OpenBLAS's default
+threads spin on the second core (timings in the README).  A second FFT
+worker did not pay at the sizes used here: an in-place 128^2 transform took
+0.164 ms against 0.133 ms on one worker, 256^2 0.648 against 0.591 ms, and
+512^2 was a tie (3.37 ms; medians of 30 interleaved trials on 2 vCPU).
 
 ``fft2(a, cols=(c0, c1))`` prunes the all-zero columns outside [c0, c1)
 from the axis-0 pass (Markel's pruned FFT, 1971): a compactly supported

@@ -200,17 +200,18 @@ def _domain_from_desc(desc: dict) -> SubDomain:
 
 
 def potential_from_description(desc: dict) -> PiecewisePotential:
-    """Build a PiecewisePotential from its JSON-style description dict."""
-    domains = {name: _domain_from_desc(d) for name, d in desc.get("domains", {}).items()}
-    pieces = []
-    for piece in desc["pieces"]:
-        q = _named_piece_function(piece["q"])
-        dom = domains[piece["domain"]]
-        pieces.append((q, dom))
-    return PiecewisePotential(pieces=tuple(pieces), s=float(desc["s"]),
-                              r=float(desc["r"]), description=desc)
+    """Build a PiecewisePotential from its JSON-style description dict.
 
-
-def load_potential(path) -> PiecewisePotential:
-    with open(path) as fh:
-        return potential_from_description(json.load(fh))
+    A description is outside input: any fault in it raises ConfigError naming the cause.
+    """
+    try:
+        domains = {name: _domain_from_desc(d) for name, d in desc.get("domains", {}).items()}
+        pieces = []
+        for piece in desc["pieces"]:
+            q = _named_piece_function(piece["q"])
+            dom = domains[piece["domain"]]
+            pieces.append((q, dom))
+        return PiecewisePotential(pieces=tuple(pieces), s=float(desc["s"]),
+                                  r=float(desc["r"]), description=desc)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad potential description: {exc!r}") from exc

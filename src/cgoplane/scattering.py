@@ -37,7 +37,7 @@ from scipy import fft as sfft, special
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import CutoffExceedsNyquist, DomainError, NearSingular
-from .grid import ComplexField, FourierGrid, fft2, ifft2, support_box
+from .grid import ComplexField, FourierGrid, _is_pow2, fft2, ifft2, support_box
 
 _GMRES_TOL = 1e-13      # relative residual ||A u - inc|| / ||inc|| every solve must reach
 _GMRES_RESTART = 30
@@ -183,7 +183,7 @@ class FarFieldData:
     def angle_grid(shape) -> tuple[int, int]:
         """(n_eta, n_theta) of a sample or coefficient array; ValueError unless both
         are powers of two >= 64."""
-        if len(shape) != 2 or any(n < 64 or (n & (n - 1)) != 0 for n in shape):
+        if len(shape) != 2 or any(n < 64 or not _is_pow2(n) for n in shape):
             raise ValueError(f"angle grid {tuple(shape)} is not two powers of two >= 64")
         return shape
 

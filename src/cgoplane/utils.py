@@ -45,11 +45,6 @@ def fit_loglog_slope(xs, ys):
     return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 
 
-def fit_linear_slope(xs, ys):
-    """Least-squares slope of ys against xs."""
-    return float(np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)[0])
-
-
 def _fmt(v):
     # float() drops the NumPy scalar type, whose repr would name it: np.float64(...)
     if isinstance(v, float):
@@ -80,12 +75,6 @@ def write_json(path, obj):
 def _json_default(v):
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 

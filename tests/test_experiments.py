@@ -11,13 +11,20 @@ from cgoplane.cli import main as cli_main
 from cgoplane.errors import BlobFormatError, ConfigError, DomainError
 from cgoplane.experiments import (_FF_MAGIC, PWC_DISK_POTENTIAL, RUNNERS, ExperimentConfig,
                                   _critical_field, _merge_params, _s1_opnorm, _save_far_field,
-                                  lemma_defaults, load_far_field, run_convergence,
-                                  run_counterexample, run_lemma_checks, run_scatter,
-                                  run_stability, schedule_lambda)
+                                  lemma_defaults, load_far_field, run_counterexample,
+                                  run_lemma_checks, run_scatter, run_stability,
+                                  schedule_lambda)
 from cgoplane.grid import ComplexField, FourierGrid, check_padding_support, fft2, ifft2
 from cgoplane.potentials import potential_from_description, rasterize
 from cgoplane.scattering import FarFieldData
 from cgoplane.utils import write_blob, write_json
+
+
+def _pwc_potential_config(edit):
+    """Config file text for convergence on pwc-disk with a potential that edit breaks."""
+    desc = json.loads(json.dumps(PWC_DISK_POTENTIAL))
+    edit(desc)
+    return json.dumps({"params": {"variant": "pwc-disk", "potential": desc}})
 
 
 class TestConfig:
@@ -75,10 +82,6 @@ class TestConfig:
             ExperimentConfig(name="convergence", params={"variant": "pwc-disk",
                                                          "potential": desc})
 
-    def test_missing_description_file(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(name="x", params={"potential_file": "/nope/none.json"})
-
     @pytest.mark.parametrize("key", ["delta", "potential_file"])
     def test_unknown_runner_param_refused(self, tmp_path, key):
         # a typo of "deltas", and a key only convergence reads
@@ -91,15 +94,6 @@ class TestConfig:
             run_stability(cfg)
         assert not (tmp_path / "o").exists()
 
-    def test_convergence_reads_a_potential_file(self, tmp_path):
-        path = tmp_path / "v.json"
-        path.write_text(json.dumps(PWC_DISK_POTENTIAL))
-        params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0], "mask_grid": None}
-        summaries = [run_convergence(ExperimentConfig(
-            name="convergence", out_dir=str(tmp_path / d), grid_n=64, params=extra))
-            for d, extra in (("a", params), ("b", {**params, "potential_file": str(path)}))]
-        assert summaries[0] == summaries[1]
-
     @pytest.mark.parametrize("experiment,text", [
         ("convergence", '{"variant": "pwc-disk"}'),                 # params key at top level
         ("convergence", '[1, 2]'),                                  # not a JSON object
@@ -110,8 +104,32 @@ class TestConfig:
         ("convergence", '{"params": {"variant": "pwc-disk", "n_r": 7}}'),
         ("convergence", '{"params": {"variant": "pwc-disk", "mesh_nodes": 99}}'),
         ("convergence", '{"params": {"boundary_route": false, "mesh_nodes": 128}}'),
+        # the route follows the variant, and the counterexample's closed forms
+        # hold for its rhombus only
+        ("convergence", '{"params": {"variant": "pwc-disk", "boundary_route": true}}'),
+        ("counterexample", '{"params": {"potential": {}}}'),
+        # malformed potential descriptions, which ended in an untyped ValueError or KeyError
+        ("convergence", _pwc_potential_config(lambda d: d["pieces"][0]["q"].update(type="x"))),
+        ("convergence", _pwc_potential_config(lambda d: d.pop("s"))),
+        ("convergence", _pwc_potential_config(lambda d: d["pieces"][0].update(domain="ball"))),
+        ("convergence", _pwc_potential_config(lambda d: d.update(s=3.5))),
+        # sizes out of range, which ended in an untyped error or a misnamed
+        # NearSingular, most of them after the output directory was made
+        ("scatter", '{"params": {"n_angles": 48}}'),
+        ("scatter", '{"params": {"nystrom_n": 48}}'),
+        ("scatter", '{"params": {"k": 0.0}}'),
+        ("scatter", '{"params": {"k": -4.0}}'),
+        ("stability", '{"params": {"lens": {"half_width": -0.08}}}'),
+        ("convergence", '{"params": {"variant": "pwc-disk", '
+                        '"mask_grid": {"lo": 0.5, "hi": -0.5, "n": 0}}}'),
+        ("convergence", '{"params": {"variant": "pwc-disk", '
+                        '"mask_grid": {"lo": -0.5, "hi": 0.5, "n": "5"}}}'),
     ], ids=["top-level-key", "not-an-object", "unparseable", "params-not-an-object",
-            "nested-key", "unread-n_r", "unread-mesh_nodes", "route-off-mesh_nodes"])
+            "nested-key", "unread-n_r", "unread-mesh_nodes", "route-off-mesh_nodes",
+            "route-on-pwc-disk", "counterexample-potential", "potential-piece-type",
+            "potential-missing-s", "potential-undefined-domain", "potential-s-3.5",
+            "n_angles-48", "nystrom_n-48", "k-zero", "k-negative", "negative-half-width",
+            "empty-mask-grid", "mask-grid-n-string"])
     def test_bad_config_file_refused_before_any_output(self, tmp_path, experiment, text):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(text)

@@ -7,8 +7,8 @@ from cgoplane.errors import ConfigError, SupportViolation
 from cgoplane.geometry import make_disk, make_rhombus
 from cgoplane.grid import ComplexField, FourierGrid
 from cgoplane.potentials import (PiecewisePotential, chi_hr_norm, dsr_norm_upper,
-                                 h_r_norm_field, load_potential,
-                                 potential_from_description, rasterize, w_s1_norm)
+                                 h_r_norm_field, potential_from_description, rasterize,
+                                 w_s1_norm)
 
 
 def constant_q(value):
@@ -144,7 +144,7 @@ def test_sobolev_embedding_budget(rng):
 
 
 class TestDescriptionFiles:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         desc = {
             "s": 2.5, "r": 0.3,
             "domains": {
@@ -162,16 +162,15 @@ class TestDescriptionFiles:
                 {"q": {"type": "constant", "value": [2.0, 0.0]}, "domain": "ball"},
             ],
         }
-        path = tmp_path / "potential.json"
-        path.write_text(json.dumps(desc))
-        V = load_potential(path)
+        V = potential_from_description(json.loads(json.dumps(desc)))
         assert len(V.pieces) == 2
         assert V.s == 2.5
         # value inside the second piece
         val = V(np.array([0.9]), np.array([0.0]))[0]
         assert val == 2.0
         # hashing is stable across loads
-        assert V.content_hash() == load_potential(path).content_hash()
+        assert V.content_hash() == potential_from_description(
+            json.loads(json.dumps(desc))).content_hash()
 
     def test_spline_segment_description(self):
         knots = np.linspace(-1, 1, 7).tolist()
