@@ -270,7 +270,7 @@ def phase_mul(F: ComplexField, p: PhaseParams, sign: int) -> ComplexField:
     identity here.
     """
     if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise DomainError("sign must be +1 or -1")
     n = F.grid.n_per_side
     return ComplexField(F.grid, _phase_block(F.grid, p, sign)[:, :n] * F.values)
 
@@ -416,7 +416,7 @@ def t_w_lambda(F: ComplexField, w: ComplexField, p: PhaseParams, shift=0.0) -> c
     phase and shift + w are formed there only.
     """
     if not F.grid.same_as(w.grid):
-        raise ValueError("F and w must share a grid")
+        raise DomainError("F and w must share a grid")
     box = support_box(F.values)
     if box is None:
         return 0j
@@ -442,5 +442,5 @@ def hs_norm(F: ComplexField, s: float) -> float:
     s < 0 the input should be mean-free for the norm to be meaningful.
     """
     if not -1 < s < 1:
-        raise ValueError("hs_norm supports only |s| < 1")
+        raise DomainError("hs_norm supports only |s| < 1")
     return F.weighted_l2_norm(homogeneous_weight(F.grid, 2 * s))

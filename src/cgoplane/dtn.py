@@ -414,7 +414,7 @@ def solve_dirichlet(op: PolarOperator, f) -> np.ndarray:
     """
     f = np.asarray(f, dtype=np.complex128)
     if f.shape != (op.mesh.n_nodes,):
-        raise ValueError("boundary data must have one value per mesh node")
+        raise DomainError("boundary data must have one value per mesh node")
     u = np.zeros(op.n_dof, dtype=np.complex128)
     u[op.boundary_idx] = f
     u[op.interior_idx] = _interior_solve(op, -_energy_apply(op, u)[op.interior_idx])
@@ -428,7 +428,7 @@ class DtnMatrix:
         m = mesh.n_nodes
         entries = np.asarray(entries, dtype=np.complex128)
         if entries.shape != (m, m):
-            raise ValueError("DtN matrix shape must match the mesh")
+            raise DomainError("DtN matrix shape must match the mesh")
         self.entries = entries
         self.mesh = mesh
         self.potential_tag = potential_tag

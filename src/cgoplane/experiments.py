@@ -65,12 +65,6 @@ class ExperimentConfig:
         bad = sorted(key for key, value in self.params.items() if _has_non_finite(value))
         if bad:
             raise ConfigError(f"params {', '.join(bad)} must hold only finite numbers")
-        sched = self.params.get("lambdas")
-        if sched is not None and (not isinstance(sched, (list, tuple))
-                                  or not all(_is_number(v, numbers.Real) for v in sched)):
-            raise ConfigError(f"lambdas must be a list of numbers, got {sched!r}")
-        if sched is not None and any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ConfigError("lambda schedule must be strictly increasing")
 
 
 def _is_number(value, kind) -> bool:
@@ -90,25 +84,19 @@ def _has_non_finite(value) -> bool:
 def _same_kind(value, default) -> bool:
     """value has the JSON type of default; an integer may stand for a float.
 
-    A None default (an optional table) takes any value, and None may replace
-    a table to turn it off.  A list's elements must each have the kind of the
-    default's first element, recursively, and a list whose default is not
-    empty must not be empty either.  An element that is itself a list (a
-    point, a complex value as a pair) must also have that element's length.
+    A list must not be empty, and its elements must each have the kind of the
+    default's first element, recursively.  An element that is itself a list
+    (a point, a complex value as a pair) must also have that element's length.
     """
-    if default is None:
-        return True
-    if value is None:
-        return isinstance(default, dict)
     if isinstance(default, bool):
         return isinstance(value, bool)
     for kind in (numbers.Integral, numbers.Real):
         if isinstance(default, kind):
             return _is_number(value, kind)
     if isinstance(default, (list, tuple)):
-        if not isinstance(value, (list, tuple)) or (default and not value):
+        if not isinstance(value, (list, tuple)) or not value:
             return False
-        item = default[0] if default else None
+        item = default[0]
         return all(_same_kind(v, item) and (not isinstance(item, (list, tuple))
                                             or len(v) == len(item)) for v in value)
     return isinstance(value, type(default))
@@ -119,8 +107,9 @@ def _merge_params(cfg, defaults, groups=()):
 
     A key outside the defaults raises ConfigError, so a typo cannot silently
     run the default, and so does a value whose type differs from its
-    default's, or an n_r below 2.  Each of ``groups`` is a nested
-    dict merged key by key over its default under the same rules.
+    default's, an n_r below 2 or a lambdas schedule that does not strictly
+    increase.  Each of ``groups`` is a nested dict merged key by key over its
+    default under the same rules.
     """
     def merge(given, base, where):
         unknown = sorted(set(given) - set(base))
@@ -133,12 +122,12 @@ def _merge_params(cfg, defaults, groups=()):
             if key == "n_r" and value < 2:
                 # dtn.assemble_polar_operator needs 2 rings; refuse before any output
                 raise ConfigError(f"{where} param n_r must be >= 2, got {value!r}")
+            if key == "lambdas" and any(b <= a for a, b in zip(value, value[1:])):
+                raise ConfigError(f"{where} param lambdas must be strictly increasing")
         return {**base, **given}
 
     params = merge(cfg.params, defaults, cfg.name)
     for key in groups:
-        if not isinstance(params[key], dict):
-            raise ConfigError(f"{cfg.name} param {key} must be an object")
         params[key] = merge(params[key], defaults[key], f"{cfg.name} {key}")
     return params
 
@@ -283,7 +272,6 @@ def convergence_defaults(variant="smooth-bump") -> dict:
             "probes": [[a, b] for a in (-0.15, 0.0, 0.15) for b in (-0.15, 0.0, 0.15)],
             "mesh_nodes": 128,
             "n_r": 192,
-            "mask_grid": None,
         }
     if variant == "pwc-disk":
         return {
@@ -301,11 +289,13 @@ def convergence_defaults(variant="smooth-bump") -> dict:
 def run_convergence(cfg: ExperimentConfig) -> dict:
     """Error-vs-lambda tables and fitted slopes at probe points off the mask."""
     variant = cfg.params.get("variant", "smooth-bump")
-    params = _merge_params(cfg, convergence_defaults(variant))
-    mg = params["mask_grid"]
-    if mg and not (_is_number(mg["n"], numbers.Integral) and mg["n"] >= 1):
+    defaults = convergence_defaults(variant)
+    params = _merge_params(cfg, defaults,
+                           groups=("mask_grid",) if "mask_grid" in defaults else ())
+    mg = params.get("mask_grid")
+    if mg and mg["n"] < 1:
         # an empty dense grid would write its NaN fractions after the sweeps
-        raise ConfigError(f"convergence mask_grid n must be an integer >= 1, got {mg['n']!r}")
+        raise ConfigError(f"convergence mask_grid n must be >= 1, got {mg['n']!r}")
     # the mesh refuses its node count before the output directory exists
     mesh = (BoundaryMesh(radius=1.0, n_nodes=int(params["mesh_nodes"]))
             if "mesh_nodes" in params else None)
@@ -491,11 +481,9 @@ def run_stability(cfg: ExperimentConfig) -> dict:
     A1 = dtn_matrix(V1_pw, mesh, n_r=n_r, potential_tag="lens-base")
 
     probes = np.asarray(params["probes"], float)
-    # per-delta measurements; moduli are |ln gap|^{1 - s/2}, schedule residuals
-    # |lambda - (-ln gap)/(6 d^2)| unless clamped
+    # per-delta measurements; moduli are |ln gap|^{1 - s/2}
     run = {key: [] for key in ("deltas", "curve_distances", "dtn_gaps", "lambdas",
-                               "lambda_clamped", "sup_errors", "moduli",
-                               "schedule_residuals")}
+                               "lambda_clamped", "sup_errors", "moduli")}
     s_index = V1_pw.s
     rows = []
     for delta in deltas:
@@ -504,14 +492,11 @@ def run_stability(cfg: ExperimentConfig) -> dict:
         V2 = rasterize(V2_pw, g)
         cdist = curve_distance_c2(V1_pw.pieces[0][1].boundary.segments,
                                   V2_pw.pieces[0][1].boundary.segments)
-        if not np.isfinite(cdist):
-            raise ConfigError("perturbed boundary lost the common cover")
         A2 = dtn_matrix(V2_pw, mesh, n_r=n_r, potential_tag=f"lens-delta-{delta}")
         gap = dtn_opnorm_diff(A1, A2)
         lam = schedule_lambda(gap, diameter)
         clamped = lam > lam_max
         lam_used = min(lam, lam_max)
-        residual = 0.0 if clamped else abs(lam_used - (-np.log(gap) / (6 * diameter**2)))
 
         boundaries = [V1_pw.pieces[0][1].boundary, V2_pw.pieces[0][1].boundary]
         wm = build_error_weight_map(probes, boundaries, exclusion_band=2 * g.h)
@@ -535,7 +520,6 @@ def run_stability(cfg: ExperimentConfig) -> dict:
         # |ln 0| = inf, and inf ** (1 - s/2) is the gap -> 0 limit of the modulus
         log_gap = abs(np.log(gap)) if gap > 0 else np.inf
         run["moduli"].append(float(log_gap ** (1 - s_index / 2)))
-        run["schedule_residuals"].append(float(residual))
 
     write_csv(os.path.join(out, "stability_probes.csv"),
               ["delta", "x1", "x2", "lambda", "re_recon1", "im_recon1",
@@ -816,8 +800,7 @@ def run_scatter(cfg: ExperimentConfig) -> dict:
     summary = {"experiment": "scatter", "k": k, "nystrom_n": nys_n,
                "born_mismatch": mismatches, "halving_ratio": halving_ratio,
                "max_residual": max(residuals),
-               "k_norm": norm.value, "k_norm_tail": norm.tail,
-               "coeff_consistency": data.consistency()}
+               "k_norm": norm.value, "k_norm_tail": norm.tail}
     write_json(os.path.join(out, "scatter_summary.json"), summary)
     return summary
 

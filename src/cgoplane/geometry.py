@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .errors import DomainError
+
 _ENDPOINT_TOL = 1e-10
 _CONSISTENCY_TOL = 1e-4
 # sample counts of the setup-time checks and of the distance polyline
@@ -43,10 +45,10 @@ class GraphSegment:
 
     def __post_init__(self):
         if self.orientation not in ("z1", "z2"):
-            raise ValueError("orientation must be 'z1' or 'z2'")
+            raise DomainError("orientation must be 'z1' or 'z2'")
         a, b = self.interval
         if not b > a:
-            raise ValueError("interval must have positive length")
+            raise DomainError("interval must have positive length")
         object.__setattr__(self, "interval", (float(a), float(b)))
         self._check_consistency()
 
@@ -62,7 +64,7 @@ class GraphSegment:
             scale = max(float(np.max(np.abs(claimed))), 1.0)
             err = float(np.max(np.abs(fd - claimed))) / scale
             if err > _CONSISTENCY_TOL:
-                raise ValueError(
+                raise DomainError(
                     f"segment derivative '{name}' inconsistent with finite differences "
                     f"(relative error {err:.2e} > {_CONSISTENCY_TOL:g})"
                 )
@@ -115,7 +117,7 @@ class PiecewiseBoundary:
 
     def __init__(self, segments: Sequence[GraphSegment]):
         if not segments:
-            raise ValueError("boundary needs at least one segment")
+            raise DomainError("boundary needs at least one segment")
         self.segments = list(segments)
         self._check_chain()
         self._check_simple()
@@ -126,7 +128,7 @@ class PiecewiseBoundary:
             _, end = seg.start_end()
             nxt, _ = self.segments[(i + 1) % k].start_end()
             if float(np.max(np.abs(end - nxt))) > _ENDPOINT_TOL:
-                raise ValueError(
+                raise DomainError(
                     f"segments {i} and {(i + 1) % k} do not chain: endpoint gap "
                     f"{float(np.max(np.abs(end - nxt))):.2e}"
                 )
@@ -165,7 +167,7 @@ class PiecewiseBoundary:
             hit = (np.abs(denom) > 1e-14) & (t > 1e-9) & (t < 1 - 1e-9) & \
                   (u > 1e-9) & (u < 1 - 1e-9)
             if np.any(hit):
-                raise ValueError("boundary polyline self-intersects; curve must be simple")
+                raise DomainError("boundary polyline self-intersects; curve must be simple")
 
     def distance_to(self, points) -> np.ndarray:
         """Distance from query points (..., 2) to the densified curve."""
@@ -240,7 +242,7 @@ class SubDomain:
     ``inside`` takes (Z1, Z2) meshes and returns booleans.  When omitted, an
     even-odd crossing test against a densified boundary polyline is used;
     exact predicates (disk, rhombus) give sharper rasterization near the
-    boundary.
+    boundary, and a given predicate is checked against that test.
     """
 
     def __init__(self, boundary: PiecewiseBoundary, inside: Callable | None = None):
@@ -248,16 +250,17 @@ class SubDomain:
         self._poly = boundary.polyline(256)
         if inside is None:
             poly = self._poly
-            inside = lambda q1, q2: _even_odd_inside(poly, q1, q2)  # noqa: E731
-        self.inside = inside
-        self._check_predicate()
+            self.inside = lambda q1, q2: _even_odd_inside(poly, q1, q2)  # noqa: E731
+        else:
+            self.inside = inside
+            self._check_predicate()
 
     def bbox(self):
         p = self._poly
         return (p[:, 0].min(), p[:, 0].max(), p[:, 1].min(), p[:, 1].max())
 
     def _check_predicate(self):
-        """Predicate must agree with the winding test away from the curve."""
+        """A given predicate must agree with the winding test away from the curve."""
         x0, x1, y0, y1 = self.bbox()
         pad = 0.05 * max(x1 - x0, y1 - y0)
         q1, q2 = np.meshgrid(np.linspace(x0 - pad, x1 + pad, _PREDICATE_N),
@@ -269,7 +272,7 @@ class SubDomain:
         # polyline resolution sets how close to the curve the test is meaningful
         safe = dist > 0.02 * max(x1 - x0, y1 - y0)
         if np.any(ref[safe] != got[safe]):
-            raise ValueError("inside predicate disagrees with boundary winding test")
+            raise DomainError("inside predicate disagrees with boundary winding test")
 
 
 def make_rhombus() -> SubDomain:

@@ -138,7 +138,7 @@ class FourierGrid:
     def __init__(self, n_per_side, side_len, center=(0.0, 0.0)):
         n = int(n_per_side)
         if not _is_pow2(n):
-            raise ValueError(f"n_per_side must be a power of two >= 2, got {n_per_side}")
+            raise DomainError(f"n_per_side must be a power of two >= 2, got {n_per_side}")
         if not 0 < side_len < np.inf:  # NaN fails this too
             raise DomainError(f"side_len must be positive and finite, got {side_len}")
         self.n_per_side = n
@@ -190,7 +190,7 @@ class ComplexField:
         values = np.asarray(values, dtype=np.complex128)
         n = grid.n_per_side
         if values.shape != (n, n):
-            raise ValueError(f"values must have shape ({n}, {n}), got {values.shape}")
+            raise DomainError(f"values must have shape ({n}, {n}), got {values.shape}")
         if not np.all(np.isfinite(values.view(np.float64))):
             raise DomainError("field values must be finite")
         self.grid = grid
@@ -209,7 +209,7 @@ class ComplexField:
     def _coerce(self, other):
         if isinstance(other, ComplexField):
             if not self.grid.same_as(other.grid):
-                raise ValueError("fields live on different grids")
+                raise DomainError("fields live on different grids")
             return other.values
         return other
 

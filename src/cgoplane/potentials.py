@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SupportViolation
+from .errors import ConfigError, DomainError, SupportViolation
 from .geometry import GraphSegment, PiecewiseBoundary, SubDomain, make_disk, make_rhombus
 from .grid import ComplexField, FourierGrid, fft2, ifft2
 
@@ -36,20 +36,20 @@ class PiecewisePotential:
 
     def __post_init__(self):
         if not (2.0 <= self.s < 3.0):
-            raise ValueError("smoothness index s must lie in [2, 3)")
+            raise DomainError("smoothness index s must lie in [2, 3)")
         if not (0.0 < self.r < 0.5):
-            raise ValueError("index r must lie in (0, 1/2)")
+            raise DomainError("index r must lie in (0, 1/2)")
         if self.s > 2.0 and not (self.s - 2.0 < 2.0 * self.r):
-            raise ValueError("need s - 2 < 2r when s > 2")
+            raise DomainError("need s - 2 < 2r when s > 2")
         object.__setattr__(self, "pieces", tuple(self.pieces))
         for q, dom in self.pieces:
             if not callable(q) or not isinstance(dom, SubDomain):
-                raise ValueError("each piece must be (callable q, SubDomain)")
+                raise DomainError("each piece must be (callable q, SubDomain)")
             x0, x1, y0, y1 = dom.bbox()
             probe = q(np.linspace(x0, x1, 9)[None, :], np.linspace(y0, y1, 9)[:, None])
             arr = np.asarray(probe, dtype=np.complex128)
             if not np.all(np.isfinite(arr.view(np.float64))):
-                raise ValueError("piece function must be finite on the closure of its domain")
+                raise DomainError("piece function must be finite on the closure of its domain")
 
     def __call__(self, q1, q2):
         """Pointwise values sum_j q_j * [inside Omega_j]."""
@@ -110,7 +110,7 @@ def rasterize_indicator(dom: SubDomain, g: FourierGrid) -> ComplexField:
 def chi_hr_norm(dom: SubDomain, r: float, g: FourierGrid) -> float:
     """Discrete inhomogeneous H^r norm of the rasterized indicator."""
     if not 0 <= r < 1:
-        raise ValueError("chi_hr_norm expects 0 <= r < 1")
+        raise DomainError("chi_hr_norm expects 0 <= r < 1")
     return h_r_norm_field(rasterize_indicator(dom, g), r)
 
 
@@ -166,7 +166,7 @@ def _named_piece_function(desc: dict) -> Callable:
         return lambda q1, q2: np.polynomial.polynomial.polyval2d(
             np.asarray(q1, float), np.asarray(q2, float), coeffs
         )
-    raise ValueError(f"unknown piece function type {kind!r}")
+    raise DomainError(f"unknown piece function type {kind!r}")
 
 
 def _segment_from_desc(desc: dict) -> GraphSegment:
@@ -183,7 +183,7 @@ def _segment_from_desc(desc: dict) -> GraphSegment:
     if kind == "spline":
         return GraphSegment.from_spline(knots=fn["knots"], values=fn["values"],
                                         end_derivs=fn["end_derivs"], **common)
-    raise ValueError(f"unknown segment function type {kind!r}")
+    raise DomainError(f"unknown segment function type {kind!r}")
 
 
 def _domain_from_desc(desc: dict) -> SubDomain:
@@ -194,7 +194,7 @@ def _domain_from_desc(desc: dict) -> SubDomain:
         if kind == "disk":
             return make_disk(center=tuple(desc.get("center", (0.0, 0.0))),
                              radius=float(desc["radius"]))
-        raise ValueError(f"unknown builtin domain {kind!r}")
+        raise DomainError(f"unknown builtin domain {kind!r}")
     segments = [_segment_from_desc(s) for s in desc["segments"]]
     return SubDomain(PiecewiseBoundary(segments))
 

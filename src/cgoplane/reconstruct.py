@@ -35,7 +35,7 @@ import numpy as np
 
 from .cgo import PhaseParams, psi_at, solve_w, t_w_lambda
 from .dtn import BoundaryMesh, DtnMatrix
-from .errors import AmplificationExceeded, MeshMismatch, NonConvergence
+from .errors import AmplificationExceeded, DomainError, MeshMismatch, NonConvergence
 from .grid import ComplexField
 from .stationary import find_stationary
 from .utils import bilinear_sample
@@ -129,7 +129,7 @@ def lambda_sweep(V: ComplexField, x, lambdas, dtn_pair: tuple | None = None) -> 
     """
     lambdas = list(lambdas)
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be strictly increasing")
+        raise DomainError("lambdas must be strictly increasing")
     samples = []
     failures = []
     refused = []

@@ -181,10 +181,10 @@ class FarFieldData:
 
     @staticmethod
     def angle_grid(shape) -> tuple[int, int]:
-        """(n_eta, n_theta) of a sample or coefficient array; ValueError unless both
+        """(n_eta, n_theta) of a sample or coefficient array; DomainError unless both
         are powers of two >= 64."""
         if len(shape) != 2 or any(n < 64 or not _is_pow2(n) for n in shape):
-            raise ValueError(f"angle grid {tuple(shape)} is not two powers of two >= 64")
+            raise DomainError(f"angle grid {tuple(shape)} is not two powers of two >= 64")
         return shape
 
     @classmethod
@@ -193,11 +193,6 @@ class FarFieldData:
         n_eta, n_theta = cls.angle_grid(samples.shape)
         coeffs = np.fft.fft2(samples) / (n_eta * n_theta)
         return cls(k=float(k), samples=samples, coeffs=coeffs)
-
-    def consistency(self) -> float:
-        """Max reconstruction error of samples from coeffs."""
-        back = np.fft.ifft2(self.coeffs) * self.samples.size
-        return float(np.max(np.abs(back - self.samples)))
 
 
 def compute_far_field_data(V: ComplexField, k: float, n_eta: int = 64,

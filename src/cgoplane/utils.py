@@ -49,10 +49,6 @@ def _fmt(v):
     # float() drops the NumPy scalar type, whose repr would name it: np.float64(...)
     if isinstance(v, float):
         return repr(float(v))
-    if isinstance(v, complex):
-        # the sign by copysign, so an imaginary part of -0.0 keeps its minus
-        sign = "-" if math.copysign(1.0, v.imag) < 0 else "+"
-        return f"{float(v.real)!r}{sign}{float(abs(v.imag))!r}j"
     return str(v)
 
 

@@ -295,14 +295,7 @@ def test_criterion_8_stability_experiment(tmp_path):
     checks.append(("DtN gap monotone in the perturbation size",
                    all(a > b for a, b in zip(gaps, gaps[1:])),
                    f"gaps {['%.3e' % g for g in gaps]}"))
-    sched_ok = all(
-        clamped or res <= 1e-10 * lam
-        for lam, res, clamped in zip(run["lambdas"], run["schedule_residuals"],
-                                     run["lambda_clamped"]))
-    checks.append(("lambda schedule satisfies the log rule to round-off (or clamps)",
-                   sched_ok, f"residuals {['%.1e' % r for r in run['schedule_residuals']]}"))
-    # the rule recomputed from the reported gaps: the residuals above come from the
-    # expression that built lambda, so they read 0 whatever that expression was
+    # the rule recomputed from the reported gaps, independently of the runner
     lam_max = lam_resolution_limit(FourierGrid(cfg.grid_n, stability_defaults()["side"]))
     rule = [-np.log(g) / (6 * summary["diameter"] ** 2) if g > 0 else np.inf for g in gaps]
     rule_ok = all(lam == lam_max < want if clamped

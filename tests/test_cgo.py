@@ -553,7 +553,7 @@ class TestCaches:
     def test_convergence_threads_match_serial_bytes(self, tmp_path):
         # the multiplier cache is shared by the sweep threads of jobs > 1
         params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0, 48.0, 64.0],
-                  "mask_grid": None}
+                  "mask_grid": {"n": 1}}
         outs = []
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
@@ -561,7 +561,8 @@ class TestCaches:
                                              grid_n=64, jobs=jobs, params=params))
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert sorted(outs[0]) == ["convergence_pwc-disk.csv",
-                                   "convergence_pwc-disk_summary.json"]
+                                   "convergence_pwc-disk_summary.json",
+                                   "mask_grid_pwc-disk.csv"]
         assert outs[0] == outs[1]
 
     def test_convergence_threads_keep_their_phase(self, tmp_path, monkeypatch):
@@ -575,7 +576,7 @@ class TestCaches:
         chirp = cgo._chirp
         monkeypatch.setattr(cgo, "_chirp", counted)
         params = {"variant": "pwc-disk", "lambdas": [24.0, 32.0, 48.0, 64.0],
-                  "mask_grid": None}
+                  "mask_grid": {"n": 1}}
         counts, outs = [], []
         for jobs in (1, 2):
             builds.clear()

@@ -436,3 +436,69 @@ def test_detector_sees_unread_dataclass_fields():
 def test_every_dataclass_field_is_read(path):
     # a field nothing reads is a copy kept for no one
     assert unread_dataclass_fields(path.read_text(), *PROGRAM_SOURCES) == []
+
+
+def untyped_raises(source: str) -> list[str]:
+    """The enclosing top-level definition of each ``raise ValueError`` or
+    ``raise TypeError``, called or not, one entry per raise."""
+    found = []
+    for top in ast.parse(source).body:
+        label = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                found.append(label)
+    return sorted(found)
+
+
+def test_detector_sees_untyped_raises():
+    src = ("def f(x):\n    if x:\n        raise ValueError('x')\n    raise DomainError('y')\n"
+           "class C:\n    def m(self):\n        raise TypeError\n"
+           "def g():\n    try:\n        pass\n    except ValueError:\n        raise\n"
+           "raise ValueError('top')\n")
+    assert untyped_raises(src) == ["<module>", "C", "f"]
+
+
+# raises of a builtin error, each for a stated reason
+UNTYPED_RAISE_ALLOWLIST = [
+    "utils.py:_json_default",  # json's default hook signals an unknown type by TypeError
+    "utils.py:read_blob",      # both caught three lines below and re-raised
+    "utils.py:read_blob",      # as BlobFormatError
+]
+
+
+def test_library_errors_are_typed():
+    # a caller catches CgoplaneError for every error the package raises itself
+    found = [f"{path.name}:{name}" for path in MODULES
+             for name in untyped_raises(path.read_text())]
+    assert sorted(found) == UNTYPED_RAISE_ALLOWLIST
+
+
+def unset_defaults(value, where="") -> list[str]:
+    """Paths of the None values and empty lists in a nested default."""
+    if value is None or (isinstance(value, (list, tuple)) and not value):
+        return [where]
+    if isinstance(value, dict):
+        return [p for key, v in value.items() for p in unset_defaults(v, f"{where}.{key}")]
+    if isinstance(value, (list, tuple)):
+        return [p for i, v in enumerate(value) for p in unset_defaults(v, f"{where}[{i}]")]
+    return []
+
+
+def test_detector_sees_unset_defaults():
+    value = {"a": None, "b": [1.0, None], "c": {"d": [], "e": [[0.0, 1.0]]}, "f": 0.0}
+    assert unset_defaults(value) == [".a", ".b[1]", ".c.d"]
+
+
+def test_runner_defaults_are_all_set():
+    # _same_kind types a param by its default, and by a list's first element
+    from cgoplane import experiments as ex
+    defaults = {"counterexample": ex.counterexample_defaults(),
+                "convergence smooth-bump": ex.convergence_defaults("smooth-bump"),
+                "convergence pwc-disk": ex.convergence_defaults("pwc-disk"),
+                "stability": ex.stability_defaults(),
+                "lemmas": ex.lemma_defaults(),
+                "scatter": ex.scatter_defaults()}
+    assert [p for name, d in defaults.items() for p in unset_defaults(d, name)] == []

@@ -347,16 +347,6 @@ class TestFarFieldData:
         with pytest.raises(ValueError):
             FarFieldData.from_samples(2.0, np.zeros((32, 32), dtype=complex))
 
-    def test_coeff_consistency(self, rng):
-        samples = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        data = FarFieldData.from_samples(2.0, samples)
-        assert data.consistency() < 1e-10
-
-    def test_full_pipeline_consistency(self, scatter_grid):
-        V = bump_field(scatter_grid, 0.4)
-        data = compute_far_field_data(V, 4.0, n_eta=64, n_theta=64)
-        assert data.consistency() < 1e-10
-
 
 class TestKNorm:
     @staticmethod
